@@ -4,19 +4,26 @@ package compile
 // layer. It lives in this package because the two invariants a store build
 // on are owned here: Key is the content address (two requests with the same
 // key compile to equivalent plans, so an entry can never be stale — only
-// corrupt) and Encode/FromJSON is the storable representation (FromJSON
-// re-validates totals, so a loaded entry is checked exactly like the golden
-// round-trip before it is ever served).
+// corrupt) and Encode/VerifyPlan is the storable representation: every
+// loaded entry goes through VerifyPlan (FromJSON's totals check plus the
+// re-key check) before it is ever served.
+//
+// That verification is memoized by a SHA-256 digest of (key, bytes). It is
+// exactly as strong as re-decoding on every load: verification is a pure
+// function of the key and the bytes, so a repeat of an already-verified pair
+// must have the same outcome, while a single changed byte — or the same
+// bytes found under another key — yields a different digest and gets the
+// full check again.
 //
 // Implementations must be safe for concurrent use: the server calls GetPlan
 // from concurrent cache-miss fills and PutPlan behind every locally computed
 // plan.
 type PlanStore interface {
-	// GetPlan returns the stored serialized plan for key and its decoded,
-	// validated form, or ok=false when the key is absent or the entry failed
-	// validation (in which case the implementation must quarantine it so a
-	// corrupt entry is recomputed, never served, and never retried).
-	GetPlan(key string) (data []byte, plan *NetworkPlan, ok bool)
+	// GetPlan returns the stored serialized plan for key and its verified
+	// totals, or ok=false when the key is absent or the entry failed
+	// verification (in which case the implementation must quarantine it so
+	// a corrupt entry is recomputed, never served, and never retried).
+	GetPlan(key string) (data []byte, totals Totals, ok bool)
 
 	// PutPlan persists the serialized plan for key. Implementations may write
 	// asynchronously (write-behind); data is immutable and may be retained.

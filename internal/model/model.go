@@ -11,6 +11,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/tensor"
@@ -276,24 +277,38 @@ func ResNeXt50() Network {
 	}
 }
 
+// zoo holds the predefined networks, built once. All and ByName hand out
+// copies with their own Layers slices, so no caller can alter the zoo.
+var zoo = []Network{VGG13(), ResNet18(), VGG16(), AlexNet(), MobileNetV2(), ResNeXt50()}
+
 // All returns every predefined network.
 func All() []Network {
-	return []Network{VGG13(), ResNet18(), VGG16(), AlexNet(), MobileNetV2(), ResNeXt50()}
+	nets := make([]Network, len(zoo))
+	for i, n := range zoo {
+		nets[i] = n.clone()
+	}
+	return nets
 }
 
 // ByName returns the predefined network with the given name
 // (case-sensitive, e.g. "VGG-13"), or an error listing the options.
 func ByName(name string) (Network, error) {
-	for _, n := range All() {
+	for _, n := range zoo {
 		if n.Name == name {
-			return n, nil
+			return n.clone(), nil
 		}
 	}
-	names := make([]string, 0, 6)
-	for _, n := range All() {
-		names = append(names, n.Name)
+	names := make([]string, len(zoo))
+	for i, n := range zoo {
+		names[i] = n.Name
 	}
 	return Network{}, fmt.Errorf("model: unknown network %q (have %v)", name, names)
+}
+
+// clone returns n with its own copy of the Layers slice.
+func (n Network) clone() Network {
+	n.Layers = slices.Clone(n.Layers)
+	return n
 }
 
 // Random returns a deterministic pseudo-random network of n small layers for

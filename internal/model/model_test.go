@@ -1,6 +1,7 @@
 package model
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -70,6 +71,32 @@ func TestByName(t *testing.T) {
 		t.Fatal("unknown name accepted")
 	} else if !strings.Contains(err.Error(), "VGG-13") {
 		t.Errorf("error should list options: %v", err)
+	}
+}
+
+func TestZooCopiesDoNotAlias(t *testing.T) {
+	// The zoo is built once; every returned network must own its layers,
+	// so a caller mutating them cannot change what the next caller sees.
+	want := VGG13()
+	n, err := ByName("VGG-13")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Layers[0].IC = 999
+	n.Layers[1].Name = "mutated"
+	n.Layers = append(n.Layers[:1], n.Layers[2:]...)
+	for _, nets := range [][]Network{All(), All()} {
+		nets[0].Layers[0].OC = 777
+	}
+	again, err := ByName("VGG-13")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, want) {
+		t.Errorf("ByName after mutation = %+v, want %+v", again, want)
+	}
+	if got := All()[0]; !reflect.DeepEqual(got, want) {
+		t.Errorf("All()[0] after mutation = %+v, want %+v", got, want)
 	}
 }
 

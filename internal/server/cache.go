@@ -10,16 +10,16 @@ import (
 	"repro/internal/obs"
 )
 
-// planEntry is one cached compilation: the plan (for sweep summaries), its
-// canonical serialized bytes (what /v1/compile writes) and its compile
-// provenance — the span tree and phase durations recorded when the plan was
-// actually compiled. Entries are shared between requests and must be treated
+// planEntry is one cached compilation: the plan's totals (for sweep
+// summaries), its canonical serialized bytes (what /v1/compile writes) and
+// its compile provenance — the span tree and phase durations recorded when
+// the plan was actually compiled. Entries are shared between requests and must be treated
 // as immutable; a cache hit serves the original compilation's provenance,
 // which is exactly the point — "where did this plan come from" has one
 // answer no matter which request asks.
 type planEntry struct {
 	key    string
-	plan   *compile.NetworkPlan
+	totals compile.Totals
 	data   []byte
 	trace  []*obs.Node
 	phases []obs.Phase
@@ -33,11 +33,11 @@ const (
 	sourcePeer  = "peer"
 )
 
-// compiled is one compute result handed back to planCache.do: the plan, its
-// serialized bytes, the provenance recorded while compiling, and which
-// cache tier produced it.
+// compiled is one compute result handed back to planCache.do: the plan's
+// totals, its serialized bytes, the provenance recorded while compiling, and
+// which cache tier produced it.
 type compiled struct {
-	plan   *compile.NetworkPlan
+	totals compile.Totals
 	data   []byte
 	trace  []*obs.Node
 	phases []obs.Phase
@@ -147,7 +147,7 @@ func (c *planCache) do(ctx context.Context, key string, compute func() (compiled
 
 // newPlanEntry freezes one compute result into a shareable cache entry.
 func newPlanEntry(key string, res compiled) *planEntry {
-	return &planEntry{key: key, plan: res.plan, data: res.data, trace: res.trace, phases: res.phases, source: res.source}
+	return &planEntry{key: key, totals: res.totals, data: res.data, trace: res.trace, phases: res.phases, source: res.source}
 }
 
 // hit returns the cached entry for a key still held as bytes, or nil on a

@@ -324,6 +324,63 @@ func TestPeerDownDegradesToLocalCompute(t *testing.T) {
 	}
 }
 
+func TestPeerPlanForAnotherKeyRejected(t *testing.T) {
+	// The owner answers with a plan that is valid in itself but answers a
+	// different request. The client must re-key the response, reject it,
+	// and compute the requested plan locally — never cache the other
+	// request's plan under this key.
+	addrs := []string{"10.99.2.1:80", "10.99.2.2:80"}
+	ring, err := peer.NewRing(addrs[0], addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := ""
+	for i := 0; i < 64; i++ {
+		body := fmt.Sprintf(`{"network": {"name": "tiny-%d", "layers": [
+			{"name": "c1", "iw": 8, "ih": 8, "kw": 3, "kh": 3, "ic": 4, "oc": 8}]},
+			"array": "64x64"}`, i)
+		if addr, _ := ring.Owner(mustKeyFor(t, body)); addr == addrs[1] {
+			probe = body
+			break
+		}
+	}
+	if probe == "" {
+		t.Fatal("no probe key owned by the remote node; widen the probe set")
+	}
+	ref := New(Config{})
+	_, want := fleetPost(t, ref, probe, nil)
+	_, other := fleetPost(t, ref, tinyBody, nil)
+	if bytes.Equal(want, other) {
+		t.Fatal("test requires distinct plans")
+	}
+
+	mt := peer.MemTransport{addrs[1]: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(other)
+	})}
+	s := New(Config{Peers: peer.NewClient(ring, mt, 0)})
+	mt[addrs[0]] = s
+	resp, got := fleetPost(t, s, probe, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile: %d: %s", resp.StatusCode, got)
+	}
+	if xc := resp.Header.Get("X-Cache"); xc != "miss" {
+		t.Errorf("X-Cache = %q, want miss (peer answer rejected, local compute)", xc)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("served plan is not the requested request's plan")
+	}
+	if got := s.peerFailed.Load(); got != 1 {
+		t.Errorf("peerFailed = %d, want 1", got)
+	}
+	if got := s.peerProxied.Load(); got != 0 {
+		t.Errorf("peerProxied = %d, want 0", got)
+	}
+	if got := s.Engine().Stats().Searches; got == 0 {
+		t.Error("no local search ran after the rejected peer answer")
+	}
+}
+
 func TestFleetSingleflightAcrossProxyHop(t *testing.T) {
 	// A thundering herd of identical requests on a non-owner must collapse
 	// to one proxy hop and one search on the owner: the local singleflight

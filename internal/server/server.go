@@ -409,7 +409,7 @@ func (s *Server) release() { <-s.sem }
 // thundering herd arriving through the peer hop — still do exactly one
 // search somewhere):
 //
-//  1. the persistent store (validated on load; a quarantined entry falls
+//  1. the persistent store (verified on load; a quarantined entry falls
 //     through to recompute),
 //  2. the owning peer, when a fleet is configured and another node owns the
 //     key (failure degrades to local compute),
@@ -427,8 +427,8 @@ func (s *Server) release() { <-s.sem }
 func (s *Server) compilePlan(ctx context.Context, key string, req compile.Request, block, hop bool) (*planEntry, bool, error) {
 	return s.plans.do(ctx, key, func() (compiled, error) {
 		if s.store != nil {
-			if data, plan, ok := s.store.GetPlan(key); ok {
-				return compiled{plan: plan, data: data, source: sourceStore}, nil
+			if data, totals, ok := s.store.GetPlan(key); ok {
+				return compiled{totals: totals, data: data, source: sourceStore}, nil
 			}
 		}
 		if res, ok := s.fetchFromPeer(ctx, key, req, hop); ok {
@@ -469,7 +469,7 @@ func (s *Server) compilePlan(ctx context.Context, key string, req compile.Reques
 			// degradation stays warm across its own restarts too.
 			s.store.PutPlan(key, buf.Bytes())
 		}
-		return compiled{plan: p, data: buf.Bytes(), trace: prov.Tree(), phases: prov.Phases()}, nil
+		return compiled{totals: p.Totals, data: buf.Bytes(), trace: prov.Tree(), phases: prov.Phases()}, nil
 	})
 }
 
@@ -498,11 +498,12 @@ func (s *Server) fetchFromPeer(ctx context.Context, key string, req compile.Requ
 		}
 		return compiled{}, false
 	}
-	// Validate the peer's bytes exactly like a store load: a corrupt or
-	// truncated response must never enter the cache. The owner serialized a
-	// validated plan, so a failure here means transport damage or version
-	// skew — either way, local compute is the safe answer.
-	plan, err := compile.FromJSON(data)
+	// Verify the peer's bytes exactly like a store load: a corrupt or
+	// truncated response, or a valid plan for some other request, must never
+	// enter the cache under this key. The owner serialized a verified plan,
+	// so a failure here means transport damage, version skew or a confused
+	// peer — either way, local compute is the safe answer.
+	totals, err := compile.VerifyPlan(key, data)
 	if err != nil {
 		s.peerFailed.Add(1)
 		if s.logger != nil {
@@ -511,7 +512,7 @@ func (s *Server) fetchFromPeer(ctx context.Context, key string, req compile.Requ
 		return compiled{}, false
 	}
 	s.peerProxied.Add(1)
-	return compiled{plan: plan, data: data, source: sourcePeer}, true
+	return compiled{totals: totals, data: data, source: sourcePeer}, true
 }
 
 // proxyBody serializes a resolved request back into the /v1/compile wire

@@ -475,7 +475,7 @@ func TestPlanCacheLeaderErrorNotShared(t *testing.T) {
 	joinerDone := make(chan outcome, 1)
 	go func() {
 		e, hit, err := c.do(context.Background(), "k", func() (compiled, error) {
-			return compiled{plan: &compile.NetworkPlan{}, data: []byte("joiner bytes")}, nil
+			return compiled{data: []byte("joiner bytes")}, nil
 		})
 		joinerDone <- outcome{e, hit, err}
 	}()

@@ -284,7 +284,7 @@ func (s *Server) runCell(ctx context.Context, c sweepCell) (sweepSummary, error)
 		sum.Error = err.Error()
 		return sum, nil
 	}
-	t := entry.plan.Totals
+	t := entry.totals
 	sum.Cycles = t.Cycles
 	sum.Im2colCycles = t.Im2colCycles
 	sum.Speedup = t.Speedup

@@ -7,12 +7,17 @@
 //
 // Consistency is by construction: compile.Key is a pure content address (a
 // compilation is a deterministic function of its key), so a stored entry can
-// never be stale — only corrupt. Every load is therefore re-validated
-// exactly like the golden round-trip (compile.FromJSON re-checks the plan's
-// totals against its layers) plus a re-key check (the decoded plan's own
-// request must hash back to the key it was stored under); an entry failing
-// either check is quarantined on the spot — renamed aside with a .corrupt
-// suffix so it is recomputed, never served, and never retried.
+// never be stale — only corrupt. Every load is therefore re-validated by
+// compile.VerifyPlan: the golden round-trip check (compile.FromJSON
+// re-checks the plan's totals against its layers) plus a re-key check (the
+// decoded plan's own request must hash back to the key it was stored
+// under); an entry failing either check is quarantined on the spot —
+// renamed aside with a .corrupt suffix so it is recomputed, never served,
+// and never retried. VerifyPlan memoizes successes by a SHA-256 digest of
+// (key, bytes), so re-loading an unchanged entry costs one hash rather than
+// a full decode; this is exactly as strong as re-decoding, because any
+// changed byte, or the same bytes under another key, misses the memo and is
+// checked in full.
 //
 // Layout: one file per plan at <dir>/<aa>/<sha256(key) hex>.json, where
 // <aa> is the first hash byte (256-way fan-out keeps directories small at
@@ -78,12 +83,14 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, hexed[:2], hexed+".json")
 }
 
-// GetPlan implements compile.PlanStore: it loads, validates and returns the
-// entry for key. A missing entry is a miss; an entry that fails validation
-// — unreadable, truncated, totals-inconsistent, or stored under a key its
-// own request does not hash to — is quarantined and reported as a miss, so
-// the caller recomputes and overwrites it.
-func (s *Store) GetPlan(key string) ([]byte, *compile.NetworkPlan, bool) {
+// GetPlan implements compile.PlanStore: it loads, verifies and returns the
+// entry for key. A missing entry is a miss; an entry that fails
+// compile.VerifyPlan — unreadable, truncated, totals-inconsistent, or stored
+// under a key its own request does not hash to (an entry copied or renamed
+// to the wrong path, the only "staleness" a content-addressed store can
+// exhibit) — is quarantined and reported as a miss, so the caller
+// recomputes and overwrites it.
+func (s *Store) GetPlan(key string) ([]byte, compile.Totals, bool) {
 	path := s.path(key)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -94,23 +101,15 @@ func (s *Store) GetPlan(key string) ([]byte, *compile.NetworkPlan, bool) {
 			// quarantine so the serve path never blocks on a sick file again.
 			s.quarantine(path)
 		}
-		return nil, nil, false
+		return nil, compile.Totals{}, false
 	}
-	plan, err := compile.FromJSON(data)
+	totals, err := compile.VerifyPlan(key, data)
 	if err != nil {
-		// Truncated, syntactically broken, or totals-inconsistent bytes.
 		s.quarantine(path)
-		return nil, nil, false
-	}
-	// Re-key: the decoded plan's own request must be the content this
-	// address names. This catches entries copied or renamed to the wrong
-	// path — the only "staleness" a content-addressed store can exhibit.
-	if got, err := compile.Key(plan.Request); err != nil || got != key {
-		s.quarantine(path)
-		return nil, nil, false
+		return nil, compile.Totals{}, false
 	}
 	s.hits.Add(1)
-	return data, plan, true
+	return data, totals, true
 }
 
 // PutPlan implements compile.PlanStore: it persists data for key with an

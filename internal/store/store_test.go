@@ -47,15 +47,19 @@ func TestRoundTrip(t *testing.T) {
 	}
 	s.PutPlan(key, data)
 	s.Flush()
-	got, plan, ok := s.GetPlan(key)
+	got, totals, ok := s.GetPlan(key)
 	if !ok {
 		t.Fatal("miss after put")
 	}
 	if !bytes.Equal(got, data) {
 		t.Error("loaded bytes differ from stored bytes")
 	}
-	if plan == nil || plan.Network.Name != "rt" {
-		t.Errorf("loaded plan = %+v", plan)
+	want, err := compile.FromJSON(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Network.Name != "rt" || totals != want.Totals || totals.Cycles <= 0 {
+		t.Errorf("loaded totals = %+v, want %+v of plan %q", totals, want.Totals, want.Network.Name)
 	}
 	st := s.StoreStats()
 	if st.Hits != 1 || st.Misses != 1 || st.Writes != 1 || st.Corrupt != 0 {
@@ -182,6 +186,66 @@ func TestWrongKeyEntryQuarantined(t *testing.T) {
 	}
 	if st := s.StoreStats(); st.Corrupt != 1 {
 		t.Errorf("corrupt = %d, want 1", st.Corrupt)
+	}
+}
+
+// The verification memo must change nothing observable: an entry that was
+// verified once and is then damaged on disk, or whose verified bytes turn up
+// at another key's address, is rejected and quarantined exactly as if it had
+// never been seen.
+
+func TestEntryDamagedAfterVerifiedLoadQuarantined(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, data := testPlan(t, "damaged-later", 4)
+	s.PutPlan(key, data)
+	s.Flush()
+	if _, _, ok := s.GetPlan(key); !ok {
+		t.Fatal("good entry not served")
+	}
+	path := corruptEntry(t, s, key, func(d []byte) []byte {
+		return bytes.Replace(d, []byte(`"Totals":{"Cycles":`), []byte(`"Totals":{"Cycles":9`), 1)
+	})
+	if _, _, ok := s.GetPlan(key); ok {
+		t.Fatal("entry damaged after a verified load was served")
+	}
+	if st := s.StoreStats(); st.Corrupt != 1 || st.Hits != 1 {
+		t.Errorf("stats = %+v, want 1 corrupt, 1 hit", st)
+	}
+	if _, err := os.Stat(path + ".corrupt"); err != nil {
+		t.Errorf("quarantine file missing: %v", err)
+	}
+}
+
+func TestVerifiedEntryCopiedToWrongKeyQuarantined(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyA, dataA := testPlan(t, "a-verified", 4)
+	keyB, _ := testPlan(t, "b-verified", 8)
+	s.PutPlan(keyA, dataA)
+	s.Flush()
+	if _, _, ok := s.GetPlan(keyA); !ok {
+		t.Fatal("good entry not served under its own key")
+	}
+	// The very bytes just verified under keyA, now at keyB's address.
+	if err := os.MkdirAll(filepath.Dir(s.path(keyB)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.path(keyB), dataA, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := s.GetPlan(keyB); ok {
+		t.Fatal("verified bytes served under a key they do not answer")
+	}
+	if st := s.StoreStats(); st.Corrupt != 1 {
+		t.Errorf("corrupt = %d, want 1", st.Corrupt)
+	}
+	if _, _, ok := s.GetPlan(keyA); !ok {
+		t.Error("original entry no longer served")
 	}
 }
 
