@@ -1,10 +1,11 @@
 // Command vwsdkbench runs the standardized search benchmark workloads
 // (internal/bench) — the paper's Table-I zoo on 256/512/1024 arrays plus
 // large-IFM stress layers — and writes BENCH_search.json: per workload, the
-// pruned search's ns/op and allocations, the candidates it costed versus the
-// exhaustive sweep's enumeration, and a cold-compile pipeline comparison.
-// CI runs it with -benchtime 1x, uploads the JSON as an artifact, and fails
-// the job via -check-reduction when the pruning regresses toward parity.
+// default search's ns/op and allocations, the cost classes it evaluated and
+// the cost-model calls it paid versus the exhaustive sweep's enumeration,
+// and a cold-compile pipeline comparison. CI runs it with -benchtime 1x,
+// uploads the JSON as an artifact, and fails the job via -check-reduction
+// when the class walk regresses toward parity.
 //
 // With -serve it instead benchmarks the vwsdkd HTTP surface in-process —
 // cold/warm /v1/compile and the streaming /v1/sweep — and writes
@@ -180,7 +181,7 @@ func run(args []string, out, progress io.Writer) (retErr error) {
 			*outPath, len(rep.Workloads), rep.MaxTable1Reduction)
 	}
 	if *check > 0 && rep.MaxTable1Reduction < *check {
-		return fmt.Errorf("pruned-vs-exhaustive candidate reduction regressed: best Table-I factor %.1fx < required %.1fx",
+		return fmt.Errorf("default-vs-exhaustive candidate reduction regressed: best Table-I factor %.1fx < required %.1fx",
 			rep.MaxTable1Reduction, *check)
 	}
 	return nil

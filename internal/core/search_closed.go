@@ -6,100 +6,73 @@ import (
 )
 
 // This file implements the closed-form Algorithm 1 search that SearchVWSDK
-// routes dense, unit-stride layers through. The breakpoint-pruned enumerator
-// (search_pruned.go) already walks one representative per constant-cycle cost
-// class, but still pays a cost-model call (SweepVW → Mapping construction)
-// per class. Eq. 8's cycle count, however, is a product of at most four step
-// terms, each of which the class walk already knows in closed form:
+// and SearchVariant(VariantFull) run for every layer shape. It exploits the
+// structure of eq. 8: for a fixed window height h, every term of the cycle
+// count is a step function of the window width w —
 //
-//	Cycles(h, w) = ⌈OutW/NwW⌉ · ⌈OutH/NwH⌉ · ⌈IC/ICt⌉ · ⌈OC/OCt⌉
+//	ICt  = min(floor(Rows/(w·h)), ICg)       (eq. 4) → AR = ceil(ICg/ICt)
+//	OCt  = min(floor(Cols/(NwW·NwH)), OCg)   (eq. 6) → AC = ceil(OCg/OCt)
+//	NPWw = ceil(OutW/NwW)                    (eq. 3)
 //
-// with ICt = min(⌊Rows/(w·h)⌋, IC) and OCt = min(⌊Cols/(NwW·NwH)⌋, OC). The
-// closed-form search therefore evaluates every class start with pure integer
-// arithmetic — no Mapping is built, no cost model runs — tracks the argmin
-// under Algorithm 1's first-strictly-better tie-break, and materializes only
-// the single winning candidate through SweepVW at the end. Cost-model
-// evaluations drop from one per class (typically dozens per layer) to at
-// most one per search; Result (Best, Im2col, Evaluated, Swept) is
-// bit-identical to the pruned and exhaustive paths, pinned by the zoo
-// differential tests and FuzzSearchEquivalence.
+// with NwW = floor((w-KW)/StrideW)+1 itself a step function of w, and
 //
-// Preconditions (DESIGN.md §8): the derivation is proven for dense layers
-// (NumGroups == 1, so the ICt/OCt caps are the plain channel counts and the
-// ×Groups factor is 1) with unit strides (so NwW = w−KW+1 is strictly
-// increasing in w and the "winner is a class start" scan-order argument is
-// exact). Grouped or strided layers fall back to the pruned enumerator,
-// which validates every class against the cost model itself; routing is
-// pinned by TestClosedFormRouting so a silent always-fallback cannot creep
-// in.
+//	Cycles(h, w) = NPWw · NPWh · AR · AC · G
+//
+// (ICg = IC/G and OCg = OC/G are the per-group channel counts; dense layers
+// have G == 1. Grouping only replaces the caps with per-group floors and
+// multiplies by the w-independent constant G; DESIGN.md §7.) The cycle count
+// is therefore constant over maximal runs of w on which (ICt, OCt, NPWw) are
+// all constant — a "cost class". Because Algorithm 1 keeps the *first
+// strictly better* candidate in its width-inner/height-outer scan, the
+// winning candidate is always the first w of some class: every later member
+// of the class has the same cycle count and cannot beat it under strict <.
+//
+// The search walks only class-start representatives, in scan order, and
+// evaluates each one's cycle count with the integer arithmetic above — no
+// Mapping is built, no cost model runs. It tracks the argmin under the same
+// strict-< update and materializes only the single winning candidate through
+// SweepVW at the end, so a search pays at most one cost-model call. Each
+// step function contributes O(√) many breakpoints per row (the divisor-count
+// structure of floor(N/x)), so a row costs O(√Rows + √Cols + √OutW) class
+// evaluations instead of O(PaddedW). Infeasibility is monotone on both loop
+// axes — once w·h > Rows or NwW·NwH > Cols no wider w recovers, and once the
+// kernel-width window of a row is infeasible no taller row recovers — so
+// both loops early-exit. Result (Best, Im2col, Evaluated, Swept) is pinned
+// against the exhaustive sweep by TestPrunedMatchesExhaustiveZoo and
+// FuzzSearchEquivalence. DESIGN.md §3 and §8 write up the derivation.
 
 // SearchStats reports how a VW-SDK search arrived at its Result. It is
 // diagnostic metadata — never part of Result, so serialized plans and the
 // VGG-13 golden file are unaffected.
 type SearchStats struct {
-	// Path names the search implementation that ran: PathClosedForm or
-	// PathPruned.
+	// Path names the search implementation that ran. Every VW-SDK search
+	// runs the closed form, so it is always PathClosedForm; the field is
+	// kept for reports that attribute searches by path.
 	Path string
 
 	// CostModelCalls counts the candidate Mapping constructions (SweepVW
-	// calls) the search performed, excluding the im2col seed. The pruned
-	// enumerator pays one per cost class (== Result.Evaluated); the
-	// closed-form search pays at most one, to materialize the winner.
+	// calls) the search performed, excluding the im2col seed: at most one,
+	// to materialize the winner.
 	CostModelCalls int
 }
 
-// The Path values SearchStats reports.
-const (
-	PathClosedForm = "closed-form"
-	PathPruned     = "pruned"
-)
-
-// ClosedFormEligible reports whether SearchVWSDK resolves layer l with the
-// closed-form argmin search (dense, unit-stride layers) rather than the
-// breakpoint-pruned enumerator fallback. Exposed so reports and tests can
-// assert the routing.
-func ClosedFormEligible(l Layer) bool {
-	return closedFormEligible(l.Normalized())
-}
-
-// closedFormEligible is ClosedFormEligible for an already-normalized layer:
-// the closed-form derivation covers dense unit-stride convolutions (padding
-// only enlarges the scanned rectangle and is fine).
-func closedFormEligible(l Layer) bool {
-	return l.NumGroups() == 1 && l.StrideW == 1 && l.StrideH == 1
-}
-
-// searchVWSDKAuto routes a normalized layer to the closed-form search when
-// its preconditions hold and to the pruned enumerator otherwise, recording
-// the choice in st (which may be nil).
-func searchVWSDKAuto(ctx context.Context, l Layer, a Array, st *SearchStats) (Result, error) {
-	if closedFormEligible(l) {
-		if st != nil {
-			st.Path = PathClosedForm
-		}
-		return searchVWSDKClosed(ctx, l, a, st)
-	}
-	if st != nil {
-		st.Path = PathPruned
-	}
-	return searchVWSDKPruned(ctx, l, a, st)
-}
+// PathClosedForm is the SearchStats.Path every VW-SDK search reports.
+const PathClosedForm = "closed-form"
 
 // SearchVWSDKInstrumented is SearchVWSDK plus the SearchStats describing how
-// the result was obtained (which path ran, how many cost-model evaluations
-// it paid). The Result is identical to SearchVWSDK's.
+// the result was obtained (how many cost-model evaluations it paid). The
+// Result is identical to SearchVWSDK's.
 func SearchVWSDKInstrumented(ctx context.Context, l Layer, a Array) (Result, SearchStats, error) {
-	var st SearchStats
-	res, err := searchVWSDKAuto(ctx, l.Normalized(), a, &st)
+	st := SearchStats{Path: PathClosedForm}
+	res, err := searchVWSDKClosed(ctx, l.Normalized(), a, &st)
 	return res, st, err
 }
 
-// searchVWSDKClosed is the closed-form Algorithm 1 for dense, unit-stride
-// layers (closedFormEligible must hold; l must be normalized). It walks the
-// same (height, width-class) structure as searchVWSDKPruned — identical loop
-// bounds, early exits, per-row cancellation checkpoints and class-end
-// algebra — but evaluates each class's cycle count arithmetically and defers
-// the cost model to a single materializing call for the argmin.
+// searchVWSDKClosed is the closed-form Algorithm 1; l must be normalized.
+// Result.Evaluated counts the cost classes evaluated; Result.Swept counts the
+// feasible candidates the exhaustive sweep costs, computed analytically. The
+// loop checks ctx once per candidate row (the cooperative cancellation
+// checkpoint). st, which may be nil, counts the cost-model calls.
 func searchVWSDKClosed(ctx context.Context, l Layer, a Array, st *SearchStats) (Result, error) {
 	base, err := Im2col(l, a)
 	if err != nil {
@@ -108,20 +81,19 @@ func searchVWSDKClosed(ctx context.Context, l Layer, a Array, st *SearchStats) (
 	res := Result{Best: base, Im2col: base, Swept: sweptVWSDK(l, a)}
 	W, H := l.PaddedW(), l.PaddedH()
 	outW, outH := l.OutW(), l.OutH()
-	// Dense: the per-group channel counts are the full channel counts and
-	// the ×Groups cycle factor is 1.
-	ic, oc := l.IC, l.OC
+	icg, ocg, groups := l.ICg(), l.OCg(), int64(l.NumGroups())
 	bestCycles := base.Cycles
 	bestW, bestH := 0, 0 // 0 = the im2col seed is still winning
 	for h := l.KH; h <= H; h++ {
 		if err := checkpoint(ctx); err != nil {
 			return Result{}, err
 		}
-		// Monotone early-exit on the height axis, as in the pruned walk.
+		// Monotone early-exit on the height axis: the narrowest window of
+		// this row is infeasible, and both causes only worsen with h.
 		if l.KW*h > a.Rows {
 			break
 		}
-		nwH := h - l.KH + 1 // unit stride: (h-KH)/1 + 1
+		nwH := (h-l.KH)/l.StrideH + 1
 		if nwH > a.Cols {
 			break
 		}
@@ -135,29 +107,33 @@ func searchVWSDKClosed(ctx context.Context, l Layer, a Array, st *SearchStats) (
 			if w*h > a.Rows {
 				break
 			}
-			nwW := w - l.KW + 1
+			nwW := (w-l.KW)/l.StrideW + 1
 			if nwW*nwH > a.Cols {
 				break
 			}
 			// Eq. 8 for this class, in closed form — exactly SweepVW's
-			// arithmetic for a dense layer, without building the Mapping.
-			ict := min(a.Rows/(w*h), ic)
-			oct := min(a.Cols/(nwW*nwH), oc)
+			// arithmetic, without building the Mapping.
+			ict := min(a.Rows/(w*h), icg)
+			oct := min(a.Cols/(nwW*nwH), ocg)
 			npwW := ceilDiv(outW, nwW)
-			npw := npwW * npwH
-			cycles := int64(npw) * int64(ceilDiv(ic, ict)) * int64(ceilDiv(oc, oct))
+			cycles := int64(npwW*npwH) * int64(ceilDiv(icg, ict)) * int64(ceilDiv(ocg, oct)) * groups
 			res.Evaluated++
 			if cycles < bestCycles {
 				bestCycles, bestW, bestH = cycles, w, h
 			}
-			// Class end, mirroring vwClassEnd's algebra on scalars: the class
-			// extends while ICt, OCt and ⌈OutW/NwW⌉ are all unchanged.
+			// Class end: the largest w' for which ICt, OCt and ⌈OutW/NwW'⌉
+			// are all unchanged. ICt stays while w'·h·ICt ≤ Rows (ict already
+			// carries the per-group cap); OCt stays while NwW'·NwH·OCt ≤
+			// Cols; ⌈OutW/NwW'⌉ stays while NwW' ≤ (OutW-1)/(npwW-1), and
+			// for npwW == 1 never changes again (NwW ≤ OutW always).
 			end := a.Rows / (h * ict)
 			nwWEnd := a.Cols / (nwH * oct)
 			if npwW > 1 {
 				nwWEnd = min(nwWEnd, (outW-1)/(npwW-1))
 			}
-			end = min(end, l.KW+nwWEnd-1, W)
+			// The largest w' whose window count along the width is nwWEnd;
+			// the bounds are ≥ w by construction, max only guards a stall.
+			end = min(end, l.KW+nwWEnd*l.StrideW-1, W)
 			w = max(end, w) + 1
 		}
 	}
@@ -183,4 +159,28 @@ func searchVWSDKClosed(ctx context.Context, l Layer, a Array, st *SearchStats) (
 	}
 	res.Best = m
 	return res, nil
+}
+
+// sweptVWSDK counts, in O(PaddedH) time, the feasible candidates the
+// exhaustive Algorithm 1 sweep costs: for each row the feasible widths form
+// the contiguous range [KW, min(PaddedW, Rows/h, widest w with NwW·NwH ≤
+// Cols)], minus the kernel-sized seed in the first row.
+func sweptVWSDK(l Layer, a Array) int {
+	n := 0
+	for h := l.KH; h <= l.PaddedH(); h++ {
+		if l.KW*h > a.Rows {
+			break // no feasible width in this or any taller row
+		}
+		nwH := (h-l.KH)/l.StrideH + 1
+		if nwH > a.Cols {
+			break
+		}
+		// NwW ≤ Cols/(NwH) ⇔ w ≤ KW + floor(Cols/NwH)·StrideW − 1.
+		wMax := min(a.Rows/h, l.KW+(a.Cols/nwH)*l.StrideW-1, l.PaddedW())
+		n += wMax - l.KW + 1
+		if h == l.KH {
+			n-- // the kernel-sized seed is covered by im2col, never costed
+		}
+	}
+	return n
 }

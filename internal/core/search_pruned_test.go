@@ -41,12 +41,14 @@ func zooShapes() []Layer {
 	return shapes
 }
 
-// TestPrunedMatchesExhaustiveZoo is the differential test the breakpoint
-// pruning rests on: on the full Table-I zoo (plus stride/padding/rectangular
-// exercisers), for every acceptance array and every variant, the pruned
-// search must return exactly the exhaustive sweep's Best and Im2col —
-// including the width-inner/height-outer first-strictly-better tie-break —
-// and its analytic Swept must equal the candidates the brute force costed.
+// TestPrunedMatchesExhaustiveZoo is the differential test the cost-class
+// walk rests on: on the full Table-I zoo (plus stride/padding/rectangular
+// and grouped/depthwise exercisers), for every acceptance array and every
+// variant, the default search must return exactly the exhaustive sweep's
+// Best and Im2col — including the width-inner/height-outer
+// first-strictly-better tie-break — and its analytic Swept must equal the
+// candidates the brute force costed. VariantFull runs the closed-form
+// search, which must pay at most one cost-model call on every shape.
 func TestPrunedMatchesExhaustiveZoo(t *testing.T) {
 	variants := []Variant{VariantFull, VariantSquareTiled, VariantRectFullChannel}
 	for _, a := range prunedTestArrays {
@@ -74,6 +76,16 @@ func TestPrunedMatchesExhaustiveZoo(t *testing.T) {
 				if pruned.Evaluated > exh.Evaluated {
 					t.Errorf("%s/%s/%v: pruned costed %d classes > %d exhaustive candidates",
 						l.Name, a, v, pruned.Evaluated, exh.Evaluated)
+				}
+				if v == VariantFull {
+					_, st, err := SearchVWSDKInstrumented(context.Background(), l, a)
+					if err != nil {
+						t.Fatalf("%s/%s: instrumented: %v", l.Name, a, err)
+					}
+					if st.CostModelCalls > 1 {
+						t.Errorf("%s/%s: closed-form search paid %d cost-model calls, want ≤ 1",
+							l.Name, a, st.CostModelCalls)
+					}
 				}
 			}
 		}
@@ -122,7 +134,7 @@ func TestExhaustiveCandidatesSquareTiled(t *testing.T) {
 }
 
 // TestExhaustiveSearcher pins that the Exhaustive reference Searcher agrees
-// with Serial (the pruned default) on a whole-network search.
+// with Serial (the default searches) on a whole-network search.
 func TestExhaustiveSearcher(t *testing.T) {
 	ctx := context.Background()
 	layers := resnet18Shapes()

@@ -467,7 +467,7 @@ func TestSquareTiledInfeasibleSkip(t *testing.T) {
 // TestEvaluatedCountsCandidatesCosted pins the meaning of Result.Evaluated
 // and Result.Swept across all three searches: Evaluated is the number of
 // cost classes the search actually costed (one representative per
-// constant-cycle run for the pruned default), Swept is the feasible
+// constant-cycle run for the default search), Swept is the feasible
 // candidate count of the exhaustive sweep — the legacy Evaluated.
 func TestEvaluatedCountsCandidatesCosted(t *testing.T) {
 	// SMD costs exactly one mapping whatever duplication it picks.
@@ -484,8 +484,8 @@ func TestEvaluatedCountsCandidatesCosted(t *testing.T) {
 			res.Evaluated, res.Swept)
 	}
 
-	// VW-SDK sweeps every feasible non-kernel window; the pruned default
-	// costs at most one representative per cost class.
+	// VW-SDK sweeps every feasible non-kernel window; the closed-form
+	// default evaluates at most one representative per cost class.
 	l := Layer{IW: 14, IH: 14, KW: 3, KH: 3, IC: 256, OC: 256}
 	vw, err := SearchVWSDK(l, array512)
 	if err != nil {

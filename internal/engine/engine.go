@@ -5,11 +5,11 @@
 // shapes heavily, and experiment sweeps re-cost the same pairs from scratch
 // otherwise.
 //
-// Each individual search runs the core package's breakpoint-pruned
-// enumerator (core.SearchVWSDK and friends), which generates candidate cost
-// classes on the fly instead of materializing and chunking the O(PaddedW ×
-// PaddedH) candidate slice the engine used to fan out; a search now costs a
-// few hundred candidates at most, so the worker pool's parallelism is spent
+// Each individual search runs the core package's default search
+// (core.SearchVWSDK and friends), which walks candidate cost classes on the
+// fly instead of materializing and chunking the O(PaddedW × PaddedH)
+// candidate slice the engine used to fan out; a search now evaluates a few
+// hundred classes at most, so the worker pool's parallelism is spent
 // where it pays — across layers and sweep cells — and per-search allocations
 // shrink to the result itself. WithExhaustiveSearch switches an engine to
 // the brute-force core sweeps for differential testing and benchmarking.
@@ -89,7 +89,8 @@ func WithCacheSize(n int) Option {
 
 // WithExhaustiveSearch routes the engine's VW-SDK and variant searches
 // through the brute-force core sweeps (core.SearchVWSDKExhaustive /
-// core.SearchVariantExhaustive) instead of the breakpoint-pruned default.
+// core.SearchVariantExhaustive) instead of the default closed-form VW-SDK
+// search and pruned variant enumerators.
 // Results are bit-identical either way; the option exists so differential
 // tests and cmd/vwsdkbench can compare the two paths under the same caching
 // and concurrency.
@@ -150,15 +151,13 @@ type Stats struct {
 
 	// CandidatesCosted sums Result.Evaluated over every search the engine
 	// actually computed (cache hits and in-flight joins cost nothing): the
-	// number of candidates evaluated — per cost class for the VW-SDK
-	// searches (whether the class was costed by the model or resolved in
-	// closed form; see core.SearchStats for that split), per window for the
-	// baselines.
+	// number of candidates evaluated — per cost class for the VW-SDK and
+	// variant searches, per window for the baselines.
 	CandidatesCosted uint64
 
 	// CandidatesPruned counts the candidate windows the exhaustive sweeps
-	// would have costed for those same searches but the breakpoint-pruned
-	// enumerators skipped (core.ExhaustiveCandidates − Evaluated). Always 0
+	// would have costed for those same searches but the default cost-class
+	// walks skipped (core.ExhaustiveCandidates − Evaluated). Always 0
 	// on a WithExhaustiveSearch engine and for the SDK/SMD baselines, which
 	// have no pruned/exhaustive split.
 	CandidatesPruned uint64
@@ -319,24 +318,20 @@ func (e *Engine) memoized(ctx context.Context, k cacheKey, name string, compute 
 }
 
 // searchPath names the search implementation a computed result came from, for
-// span attribution: closed-form/pruned for the VW-SDK family (the same split
-// core.SearchStats reports), exhaustive on a WithExhaustiveSearch engine,
-// baseline for SDK/SMD.
+// span attribution: closed-form for every VW-SDK search (as core.SearchStats
+// reports), pruned for the ablated variants' enumerators, exhaustive on a
+// WithExhaustiveSearch engine, baseline for SDK/SMD.
 func (e *Engine) searchPath(k cacheKey) string {
 	if e.exhaustive {
 		return "exhaustive"
 	}
 	switch k.kind {
 	case kindVWSDK:
-		if core.ClosedFormEligible(k.layer) {
-			return core.PathClosedForm
-		}
-		return core.PathPruned
+		return core.PathClosedForm
 	case kindVariant:
-		// Ablated variants always run their own pruned enumerators; the
-		// closed form is proven only for the full search (VariantFull keys
-		// are kindVWSDK).
-		return core.PathPruned
+		// VariantFull keys are kindVWSDK; the ablated variants run their
+		// own pruned enumerators.
+		return "pruned"
 	default:
 		return "baseline"
 	}

@@ -40,7 +40,7 @@ func TestSearchSpans(t *testing.T) {
 	if miss.Attrs["outcome"] != "miss" || miss.Attrs["layer"] != "probe" {
 		t.Errorf("first search attrs = %v, want outcome=miss", miss.Attrs)
 	}
-	// Dense unit-stride layers route to the closed-form argmin.
+	// Every VW-SDK search runs the closed-form argmin.
 	if miss.Attrs["path"] != core.PathClosedForm {
 		t.Errorf("path = %v, want %q", miss.Attrs["path"], core.PathClosedForm)
 	}
@@ -49,6 +49,18 @@ func TestSearchSpans(t *testing.T) {
 	}
 	if hit.Attrs["outcome"] != "hit" {
 		t.Errorf("second search attrs = %v, want outcome=hit", hit.Attrs)
+	}
+
+	// Strided depthwise layers take the same closed-form search.
+	dw := core.Layer{Name: "mbv2-dw96-s2", IW: 112, IH: 112, KW: 3, KH: 3, IC: 96, OC: 96,
+		StrideW: 2, StrideH: 2, PadW: 1, PadH: 1, Groups: 96}.Normalized()
+	tr = obs.New("test")
+	if _, err := e.SearchVWSDK(obs.NewContext(context.Background(), tr), dw, a); err != nil {
+		t.Fatal(err)
+	}
+	sp := obs.Find(tr.Tree(), "engine.search")
+	if sp == nil || sp.Attrs["outcome"] != "miss" || sp.Attrs["path"] != core.PathClosedForm {
+		t.Errorf("depthwise strided span = %+v, want outcome=miss path=%q", sp, core.PathClosedForm)
 	}
 }
 

@@ -120,7 +120,7 @@ func (s *Server) initMetrics() {
 		func() uint64 { return s.eng.Stats().Evictions })
 	r.CounterFunc("vwsdk_engine_candidates_costed_total", "Candidate windows handed to the cost model.",
 		func() uint64 { return s.eng.Stats().CandidatesCosted })
-	r.CounterFunc("vwsdk_engine_candidates_pruned_total", "Candidate windows skipped by the pruned enumerators.",
+	r.CounterFunc("vwsdk_engine_candidates_pruned_total", "Candidate windows skipped by the default cost-class walks.",
 		func() uint64 { return s.eng.Stats().CandidatesPruned })
 	r.GaugeFunc("vwsdk_engine_searches_in_flight", "Searches currently holding a worker-pool slot.",
 		func() float64 { return float64(s.eng.Stats().InFlightSearches) })

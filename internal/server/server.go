@@ -778,8 +778,7 @@ type EngineStats struct {
 
 	// CandidatesCosted counts candidate windows handed to the cost model by
 	// computed searches; CandidatesPruned counts the windows the exhaustive
-	// sweeps would have costed but the breakpoint-pruned enumerators
-	// skipped.
+	// sweeps would have costed but the default cost-class walks skipped.
 	CandidatesCosted uint64 `json:"candidates_costed"`
 	CandidatesPruned uint64 `json:"candidates_pruned"`
 

@@ -103,11 +103,12 @@ func SDK(l Layer, a Array, pw Window) (Mapping, error) { return core.SDK(l, a, p
 // VW costs the paper's variable-window mapping for one window (eqs. 3–8).
 func VW(l Layer, a Array, pw Window) (Mapping, error) { return core.VW(l, a, pw) }
 
-// SearchVWSDK runs Algorithm 1: the optimal parallel-window search. The
-// default implementation walks only breakpoints of eq. 8's step functions
+// SearchVWSDK runs Algorithm 1: the optimal parallel-window search. It
+// evaluates only the breakpoints of eq. 8's step functions in closed form
 // (O(√Rows + √Cols) cost classes per IFM row instead of O(PaddedW)
-// candidates) and is bit-identical to the brute-force sweep. It is the
-// context-free convenience form of SearchVWSDKContext.
+// candidates, at most one cost-model call) for every layer shape, and is
+// bit-identical to the brute-force sweep. It is the context-free
+// convenience form of SearchVWSDKContext.
 func SearchVWSDK(l Layer, a Array) (SearchResult, error) { return core.SearchVWSDK(l, a) }
 
 // SearchVWSDKContext is SearchVWSDK under a caller context: the search loop
@@ -117,32 +118,23 @@ func SearchVWSDKContext(ctx context.Context, l Layer, a Array) (SearchResult, er
 	return core.SearchVWSDKContext(ctx, l, a)
 }
 
-// SearchStats describes how a VW-SDK search was executed: which
-// implementation path ran and how many candidates reached the full cost
-// model. See core.SearchStats.
+// SearchStats describes how a VW-SDK search was executed: the
+// implementation path (always SearchPathClosedForm) and how many candidates
+// reached the full cost model. See core.SearchStats.
 type SearchStats = core.SearchStats
 
-// Search implementation paths reported in SearchStats.Path.
-const (
-	SearchPathClosedForm = core.PathClosedForm
-	SearchPathPruned     = core.PathPruned
-)
-
-// ClosedFormEligible reports whether layer l is served by the closed-form
-// argmin search (dense, unit strides; DESIGN.md §8) rather than the
-// breakpoint-pruned enumerator. Both paths return bit-identical results;
-// this only predicts which one SearchVWSDK runs.
-func ClosedFormEligible(l Layer) bool { return core.ClosedFormEligible(l) }
+// SearchPathClosedForm is the SearchStats.Path every VW-SDK search reports.
+const SearchPathClosedForm = core.PathClosedForm
 
 // SearchVWSDKInstrumented is SearchVWSDKContext plus execution statistics:
-// the same Result, and a SearchStats reporting the path taken and the number
-// of full cost-model evaluations.
+// the same Result, and a SearchStats reporting the number of full
+// cost-model evaluations (at most one).
 func SearchVWSDKInstrumented(ctx context.Context, l Layer, a Array) (SearchResult, SearchStats, error) {
 	return core.SearchVWSDKInstrumented(ctx, l, a)
 }
 
 // SearchVWSDKExhaustive runs the brute-force Algorithm 1 sweep — the
-// reference the pruned default is differentially tested against. It returns
+// reference the closed-form default is differentially tested against. It returns
 // the same Best and Im2col as SearchVWSDK.
 func SearchVWSDKExhaustive(l Layer, a Array) (SearchResult, error) {
 	return core.SearchVWSDKExhaustive(l, a)
@@ -150,7 +142,7 @@ func SearchVWSDKExhaustive(l Layer, a Array) (SearchResult, error) {
 
 // ExhaustiveSearchCandidates returns the number of candidate windows the
 // brute-force search for variant v would hand to the cost model for layer l
-// (the candidates the pruned search avoids).
+// (the candidates the default cost-class walk avoids).
 func ExhaustiveSearchCandidates(l Layer, v Variant) int64 {
 	return core.ExhaustiveCandidates(l, v)
 }
@@ -173,8 +165,9 @@ func SearchSMDContext(ctx context.Context, l Layer, a Array) (SearchResult, erro
 	return core.SearchSMDContext(ctx, l, a)
 }
 
-// SearchVariant runs an ablated VW-SDK search (breakpoint-pruned, like
-// SearchVWSDK; context-free form of SearchVariantContext).
+// SearchVariant runs an ablated VW-SDK search (VariantFull is SearchVWSDK's
+// closed form, the ablated variants run breakpoint-pruned enumerators;
+// context-free form of SearchVariantContext).
 func SearchVariant(l Layer, a Array, v Variant) (SearchResult, error) {
 	return core.SearchVariant(l, a, v)
 }
@@ -341,12 +334,12 @@ type Searcher = core.Searcher
 func SerialSearcher() Searcher { return core.Serial{} }
 
 // ExhaustiveSearcher returns the Searcher backed by the brute-force sweeps,
-// for differential testing and benchmarking against the pruned default.
+// for differential testing and benchmarking against the default searches.
 func ExhaustiveSearcher() Searcher { return core.Exhaustive{} }
 
 // Engine is a concurrent, memoizing search engine: per-layer searches and
 // batch-sweep cells fan across a worker pool (each individual search runs
-// the breakpoint-pruned enumerator), and repeated (layer shape, array,
+// the default closed-form or pruned search), and repeated (layer shape, array,
 // search) combinations are served from an LRU cache. Results are
 // bit-identical to the serial searches. See engine.Engine.
 type Engine = engine.Engine
@@ -376,8 +369,9 @@ func WithWorkers(n int) EngineOption { return engine.WithWorkers(n) }
 func WithCacheSize(n int) EngineOption { return engine.WithCacheSize(n) }
 
 // WithExhaustiveSearch routes an engine's VW-SDK and variant searches
-// through the brute-force sweeps instead of the breakpoint-pruned default,
-// for differential testing and benchmarking.
+// through the brute-force sweeps instead of the default closed-form VW-SDK
+// search and pruned variant enumerators, for differential testing and
+// benchmarking.
 func WithExhaustiveSearch() EngineOption { return engine.WithExhaustiveSearch() }
 
 // SearchNetworkParallel optimizes every layer through a fresh engine —

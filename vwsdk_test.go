@@ -287,7 +287,7 @@ func TestFacadeExtensions(t *testing.T) {
 }
 
 // TestFacadeExhaustiveSearch checks the brute-force exports agree with the
-// pruned defaults and that the pruning bookkeeping is exposed.
+// default searches and that the pruning bookkeeping is exposed.
 func TestFacadeExhaustiveSearch(t *testing.T) {
 	l := Layer{Name: "conv4", IW: 14, IH: 14, KW: 3, KH: 3, IC: 256, OC: 256}
 	pruned, err := SearchVWSDK(l, PaperArray)
