@@ -76,25 +76,25 @@ const shutdownTimeout = 10 * time.Second
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("vwsdkd", flag.ContinueOnError)
 	var (
-		addr      = fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-		workers   = fs.Int("workers", 0, "search worker-pool size (0 = GOMAXPROCS)")
-		cacheSize = fs.Int("cache", -1, "engine result-cache capacity in entries (0 disables, <0 default 4096)")
-		planCache = fs.Int("plan-cache", 0, "plan-cache capacity in plans (0 default 128, <0 disables)")
-		inflight  = fs.Int("max-inflight", 0, "max concurrently running compilations (0 = GOMAXPROCS)")
-		maxQueue  = fs.Int("max-queue", 0, "max compilations waiting for a slot (0 default 64, <0 rejects immediately)")
-		maxBody   = fs.Int64("max-body", 0, "request body limit in bytes (0 default 1 MiB)")
-		timeout   = fs.Duration("timeout", 0, "per-request deadline; exceeding it returns a structured 504 (0 = none)")
-		jobTTL    = fs.Duration("job-ttl", 0, "how long finished jobs stay queryable (0 default 10m, <0 collect immediately)")
-		maxJobs   = fs.Int("max-jobs", 0, "max queued or running jobs (0 default 64)")
-		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this extra address (empty = off; never on the API listener)")
-		storeDir  = fs.String("store", "", "persistent plan store directory (empty = no persistence)")
-		peers     = fs.String("peers", "", "comma-separated fleet addresses (host:port) sharing the key space by consistent hashing; must include this node")
-		peerSelf  = fs.String("peer-self", "", "this node's address in -peers (default: inferred from the listen port, loopback forms collapse)")
-		peerTO    = fs.Duration("peer-timeout", 0, "per-hop deadline when proxying to a peer (0 = 10s default)")
-		warmPath  = fs.String("warm", "", "bulk pre-compile this manifest of /v1/compile requests at startup (resumable via -store)")
-		warmOnly  = fs.Bool("warm-only", false, "with -warm: exit after warming instead of serving (offline store priming)")
-		quiet     = fs.Bool("quiet", false, "disable the per-request access log")
-		version   = fs.Bool("version", false, "print the version and exit")
+		addr          = fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
+		workers       = fs.Int("workers", 0, "search worker-pool size (0 = GOMAXPROCS)")
+		cacheSize     = fs.Int("cache", -1, "engine result-cache capacity in entries (0 disables, <0 default 4096)")
+		planCacheSize = fs.Int("plan-cache", 0, "plan-cache capacity in plans (0 default 128, <0 disables)")
+		inflight      = fs.Int("max-inflight", 0, "max concurrently running compilations (0 = GOMAXPROCS)")
+		maxQueue      = fs.Int("max-queue", 0, "max compilations waiting for a slot (0 default 64, <0 rejects immediately)")
+		maxBody       = fs.Int64("max-body", 0, "request body limit in bytes (0 default 1 MiB)")
+		timeout       = fs.Duration("timeout", 0, "per-request deadline; exceeding it returns a structured 504 (0 = none)")
+		jobTTL        = fs.Duration("job-ttl", 0, "how long finished jobs stay queryable (0 default 10m, <0 collect immediately)")
+		maxJobs       = fs.Int("max-jobs", 0, "max queued or running jobs (0 default 64)")
+		pprofAddr     = fs.String("pprof", "", "serve net/http/pprof on this extra address (empty = off; never on the API listener)")
+		storeDir      = fs.String("store", "", "persistent plan store directory (empty = no persistence)")
+		peers         = fs.String("peers", "", "comma-separated fleet addresses (host:port) sharing the key space by consistent hashing; must include this node")
+		peerSelf      = fs.String("peer-self", "", "this node's address in -peers (default: inferred from the listen port, loopback forms collapse)")
+		peerTO        = fs.Duration("peer-timeout", 0, "per-hop deadline when proxying to a peer (0 = 10s default)")
+		warmPath      = fs.String("warm", "", "bulk pre-compile this manifest of /v1/compile requests at startup (resumable via -store)")
+		warmOnly      = fs.Bool("warm-only", false, "with -warm: exit after warming instead of serving (offline store priming)")
+		quiet         = fs.Bool("quiet", false, "disable the per-request access log")
+		version       = fs.Bool("version", false, "print the version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -113,7 +113,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	cfg := server.Config{
 		Engine:         engine.New(engine.WithWorkers(*workers), engine.WithCacheSize(*cacheSize)),
-		PlanCacheSize:  *planCache,
+		PlanCacheSize:  *planCacheSize,
 		MaxConcurrent:  *inflight,
 		MaxQueue:       *maxQueue,
 		MaxBodyBytes:   *maxBody,

@@ -1,8 +1,9 @@
 // Package engine is the concurrent, memoizing front end to the core mapping
 // searches: it fans per-layer searches and batch-sweep cells across a
 // bounded worker pool and dedupes repeated (layer shape, array, search)
-// combinations through an LRU result cache — ResNet and VGG repeat layer
-// shapes heavily, and experiment sweeps re-cost the same pairs from scratch
+// combinations through a memo.Group — an LRU of search results with
+// singleflight coalescing — because ResNet and VGG repeat layer shapes
+// heavily, and experiment sweeps re-cost the same pairs from scratch
 // otherwise.
 //
 // Each individual search runs the core package's default search
@@ -18,7 +19,8 @@
 // pool (a search waiting for a slot gives the slot up), into in-flight
 // dedupe waits, and into the search loops themselves via the core package's
 // per-row checkpoints — so a cancelled caller actually stops burning CPU.
-// Cancelled searches are never cached.
+// Failed and cancelled searches are never cached or shared; the memo
+// package documents the coalescing contract (DESIGN.md §6).
 //
 // Results are bit-identical to the serial algorithms in internal/core:
 // every cached result is replayed with only the caller's layer name
@@ -32,10 +34,10 @@ package engine
 import (
 	"context"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/memo"
 	"repro/internal/obs"
 )
 
@@ -45,11 +47,8 @@ type Engine struct {
 	workers    int
 	cacheCap   int
 	exhaustive bool
-	sem        chan struct{} // bounds concurrently running searches
-	cache      *resultCache
-
-	mu     sync.Mutex
-	flight map[cacheKey]*call // in-flight searches, for duplicate suppression
+	sem        chan struct{}                       // bounds concurrently running searches
+	memo       *memo.Group[cacheKey, *core.Result] // name-cleared, never mutated
 
 	// sweepCellHook, when non-nil, observes every sweep cell index just
 	// before its dispatch check. Tests use it to cancel a context at a
@@ -57,19 +56,41 @@ type Engine struct {
 	sweepCellHook func(i int)
 
 	searches atomic.Uint64
-	hits     atomic.Uint64
-	misses   atomic.Uint64
-	dedupes  atomic.Uint64
 	costed   atomic.Uint64
 	pruned   atomic.Uint64
 	running  atomic.Int64 // searches currently holding a worker-pool slot
 }
 
-// call is one in-flight search; waiters block on done and read res/err.
-type call struct {
-	done chan struct{}
-	res  core.Result
-	err  error
+// searchKind discriminates the cached search families. Variant searches are
+// keyed by the variant itself; VariantFull shares the VW-SDK entry because
+// SearchVariant(VariantFull) is defined as SearchVWSDK.
+type searchKind uint8
+
+const (
+	kindVWSDK searchKind = iota
+	kindSDK
+	kindSMD
+	kindVariant
+)
+
+// cacheKey identifies one memoizable search: the normalized layer shape
+// (name cleared — ResNet/VGG repeat shapes under different names), the
+// array, and which search ran. VariantFull never appears as a kindVariant
+// key: Engine.SearchVariant routes it to SearchVWSDK, whose kindVWSDK entry
+// it shares by definition. core.Layer and core.Array are comparable
+// structs, so the key is directly usable as a map key.
+type cacheKey struct {
+	layer   core.Layer
+	array   core.Array
+	kind    searchKind
+	variant core.Variant
+}
+
+// newCacheKey normalizes l and strips its name so equal shapes collide.
+func newCacheKey(l core.Layer, a core.Array, kind searchKind, v core.Variant) cacheKey {
+	l = l.Normalized()
+	l.Name = ""
+	return cacheKey{layer: l, array: a, kind: kind, variant: v}
 }
 
 // Option configures an Engine.
@@ -116,8 +137,7 @@ func New(opts ...Option) *Engine {
 		e.cacheCap = defaultCacheSize
 	}
 	e.sem = make(chan struct{}, e.workers)
-	e.cache = newResultCache(e.cacheCap)
-	e.flight = make(map[cacheKey]*call)
+	e.memo = memo.New[cacheKey, *core.Result](e.cacheCap)
 	return e
 }
 
@@ -169,13 +189,14 @@ type Stats struct {
 
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
+	ms := e.memo.Stats()
 	return Stats{
 		Searches:         e.searches.Load(),
-		CacheHits:        e.hits.Load(),
-		CacheMisses:      e.misses.Load(),
-		FlightDedupes:    e.dedupes.Load(),
-		Evictions:        e.cache.evicted(),
-		CachedResults:    e.cache.len(),
+		CacheHits:        ms.Hits,
+		CacheMisses:      ms.Misses,
+		FlightDedupes:    ms.Dedupes,
+		Evictions:        ms.Evictions,
+		CachedResults:    ms.Entries,
 		CandidatesCosted: e.costed.Load(),
 		CandidatesPruned: e.pruned.Load(),
 		InFlightSearches: e.running.Load(),
@@ -243,79 +264,36 @@ func (e *Engine) SearchNetworkVariant(ctx context.Context, layers []core.Layer, 
 	return core.SearchNetworkWith(ctx, layers, a, search)
 }
 
-// memoized serves one search through the cache and in-flight duplicate
-// suppression. compute runs the underlying algorithm with the caller's
-// original layer (so computed results and errors are exactly the serial
-// ones); the cached copy is stored name-cleared and re-stamped per caller.
-// A waiter abandons an in-flight join when its own context is cancelled, and
-// a cancelled computation is reported to the leader without being cached.
+// memoized serves one search through the engine's memo.Group. compute runs
+// the underlying algorithm with the caller's original layer (so computed
+// results and errors are exactly the serial ones); the stored copy is
+// name-cleared, shared by pointer (a hit copies the 464-byte Result once)
+// and re-stamped per caller. Errors — the leader's own cancellation
+// included — go to the computing caller alone, per the memo contract.
 func (e *Engine) memoized(ctx context.Context, k cacheKey, name string, compute func(context.Context) (core.Result, error)) (core.Result, error) {
 	ctx, sp := obs.Start(ctx, "engine.search")
 	defer sp.End()
 	sp.SetStr("layer", name)
 	e.searches.Add(1)
-	if res, ok := e.cache.get(k); ok {
-		e.hits.Add(1)
-		sp.SetStr("outcome", "hit")
-		return renamed(res, name), nil
-	}
-	e.mu.Lock()
-	if c, ok := e.flight[k]; ok {
-		e.mu.Unlock()
-		e.dedupes.Add(1)
-		sp.SetStr("outcome", "coalesced")
-		select {
-		case <-c.done:
-		case <-ctx.Done():
-			// The waiter's own caller is gone; the leader keeps running for
-			// everyone else.
-			return core.Result{}, ctx.Err()
+	res, out, err := e.memo.Do(ctx, k, func(ctx context.Context) (*core.Result, error) {
+		res, err := compute(ctx)
+		if err != nil {
+			return nil, err
 		}
-		if c.err != nil {
-			// The leader's error message names the leader's layer (or the
-			// leader was cancelled, which must not fail this caller);
-			// recompute so this caller gets exactly the serial outcome for
-			// its own inputs. The duplicated work is negligible — search
-			// errors fail fast in input validation.
-			e.misses.Add(1)
-			res, err := compute(ctx)
-			if err == nil {
-				sp.SetStr("path", e.searchPath(k)).SetInt("candidates", int64(res.Evaluated))
-			}
-			return res, err
-		}
-		e.hits.Add(1)
-		return renamed(c.res, name), nil
-	}
-	// Re-check the cache under the lock: a search that finished between the
-	// lock-free lookup above and Lock() has already left the flight map, and
-	// recomputing it here would duplicate the full sweep.
-	if res, ok := e.cache.get(k); ok {
-		e.mu.Unlock()
-		e.hits.Add(1)
-		sp.SetStr("outcome", "hit")
-		return renamed(res, name), nil
-	}
-	c := &call{done: make(chan struct{})}
-	e.flight[k] = c
-	e.mu.Unlock()
-
-	e.misses.Add(1)
-	sp.SetStr("outcome", "miss")
-	res, err := compute(ctx)
-	if err == nil {
 		e.countCandidates(k, res)
 		sp.SetStr("path", e.searchPath(k)).SetInt("candidates", int64(res.Evaluated))
-		c.res = anonymized(res)
-		e.cache.put(k, c.res)
+		res = anonymized(res)
+		return &res, nil
+	})
+	sp.SetStr("outcome", outcomeNames[out])
+	if err != nil {
+		return core.Result{}, err
 	}
-	c.err = err
-	e.mu.Lock()
-	delete(e.flight, k)
-	e.mu.Unlock()
-	close(c.done)
-	return res, err
+	return renamed(*res, name), nil
 }
+
+// outcomeNames are the engine.search span's outcome attribute values.
+var outcomeNames = [...]string{memo.Computed: "miss", memo.Hit: "hit", memo.Joined: "coalesced"}
 
 // searchPath names the search implementation a computed result came from, for
 // span attribution: closed-form for every VW-SDK search (as core.SearchStats

@@ -120,6 +120,18 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(seconds float64) { h.Observe(seconds) }
 
+// Snapshot returns fresh copies of the bucket upper bounds and of the
+// per-bucket counts. The counts are disjoint, not cumulative: counts[i]
+// observations fell in (bounds[i-1], bounds[i]], and the final count is the
+// +Inf bucket.
+func (h *Histogram) Snapshot() (bounds []float64, counts []uint64) {
+	counts = make([]uint64, len(h.counts))
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+	}
+	return append([]float64(nil), h.bounds...), counts
+}
+
 func (h *Histogram) collect(b *bytes.Buffer, name, labels string) {
 	var cum uint64
 	for i, bound := range h.bounds {

@@ -43,16 +43,16 @@ type job struct {
 	created time.Time
 	cancel  context.CancelFunc
 
-	mu        sync.Mutex
-	state     string
-	errMsg    string
-	finished  time.Time // terminal transition, for TTL garbage collection
-	total     int       // cells in the request (1 for compile, design points for optimize)
-	completed int       // evaluated design points (optimize jobs)
-	results   []sweepSummary
-	plan      []byte // serialized NetworkPlan (compile jobs)
-	planCache bool   // the plan came from the cache
-	frontier  []byte // serialized optimize.Frontier (optimize jobs)
+	mu         sync.Mutex
+	state      string
+	errMsg     string
+	finished   time.Time // terminal transition, for TTL garbage collection
+	total      int       // cells in the request (1 for compile, design points for optimize)
+	completed  int       // evaluated design points (optimize jobs)
+	results    []sweepSummary
+	plan       []byte // serialized NetworkPlan (compile jobs)
+	planCached bool   // the plan came from the cache
+	frontier   []byte // serialized optimize.Frontier (optimize jobs)
 }
 
 // jobSnapshot is the wire form of a job. Results and Plan are only
@@ -98,7 +98,7 @@ func (j *job) snapshot(withPayload bool) jobSnapshot {
 	if withPayload {
 		snap.Results = append([]sweepSummary(nil), j.results...)
 		snap.Plan = j.plan
-		snap.PlanCached = j.planCache
+		snap.PlanCached = j.planCached
 		snap.Frontier = j.frontier
 	}
 	return snap
@@ -124,7 +124,7 @@ func (j *job) addResult(sum sweepSummary) {
 func (j *job) setPlan(data []byte, cached bool) {
 	j.mu.Lock()
 	j.plan = data
-	j.planCache = cached
+	j.planCached = cached
 	j.mu.Unlock()
 }
 

@@ -98,15 +98,15 @@ func (s *Server) initMetrics() {
 		"End-to-end HTTP request latency.", obs.DurationBuckets)
 
 	r.CounterFunc("vwsdk_plan_cache_hits_total", "Plan-cache hits (LRU hits plus coalesced joins).",
-		func() uint64 { return s.plans.hits.Load() })
+		func() uint64 { return s.plans.Stats().Hits })
 	r.CounterFunc("vwsdk_plan_cache_misses_total", "Compilations actually run.",
-		func() uint64 { return s.plans.misses.Load() })
+		func() uint64 { return s.plans.Stats().Misses })
 	r.CounterFunc("vwsdk_plan_cache_dedupes_total", "Requests coalesced onto an in-flight compilation.",
-		func() uint64 { return s.plans.dedupes.Load() })
+		func() uint64 { return s.plans.Stats().Dedupes })
 	r.CounterFunc("vwsdk_plan_cache_evictions_total", "Plans evicted from the LRU.",
-		func() uint64 { return s.plans.evictions.Load() })
+		func() uint64 { return s.plans.Stats().Evictions })
 	r.GaugeFunc("vwsdk_plan_cache_entries", "Plans currently cached.",
-		func() float64 { return float64(s.plans.stats().Entries) })
+		func() float64 { return float64(s.plans.Stats().Entries) })
 
 	r.CounterFunc("vwsdk_engine_searches_total", "Layer searches served by the engine.",
 		func() uint64 { return s.eng.Stats().Searches })

@@ -5,14 +5,16 @@
 // clients asking for the same networks.
 //
 // The server owns a single shared Compiler and adds, on top of the engine's
-// per-layer result cache, a whole-plan LRU cache keyed on the canonical
-// compile.Request (compile.Key) with singleflight coalescing: N identical
-// concurrent requests run exactly one compilation and share its serialized
-// bytes. Compilations are bounded by a semaphore with a configurable wait
-// queue, and sweep streams by their own same-sized semaphore; requests
-// beyond the limits are rejected with 503 instead of piling up. Request
-// bodies are size-limited and every error — including 404s and 405s — is
-// structured JSON ({"error": {"status", "message"}}).
+// per-layer search memo, a whole-plan memo keyed on the canonical
+// compile.Request (compile.Key). Both are memo.Group values, an LRU with
+// singleflight coalescing: N identical concurrent requests run exactly one
+// compilation and share its serialized bytes, and a failed compilation is
+// never shared (the memo package states the contract). Compilations are
+// bounded by a semaphore with a configurable wait queue, and sweep streams
+// by their own same-sized semaphore; requests beyond the limits are
+// rejected with 503 instead of piling up. Request bodies are size-limited
+// and every error — including 404s and 405s — is structured JSON
+// ({"error": {"status", "message"}}).
 //
 // Every handler runs under the request's own context (plus the configured
 // per-request deadline): a client that disconnects mid-compile cancels the
@@ -62,6 +64,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/memo"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/optimize"
@@ -142,7 +145,7 @@ const (
 type Server struct {
 	eng     *engine.Engine
 	comp    *compile.Compiler
-	plans   *planCache
+	plans   *memo.Group[string, *planEntry] // whole-plan memo keyed on compile.Key
 	jobs    *jobSet
 	logger  *log.Logger
 	maxBody int64
@@ -163,7 +166,6 @@ type Server struct {
 	rejected    atomic.Uint64
 	peerProxied atomic.Uint64
 	peerFailed  atomic.Uint64
-	hist        latencyHist
 
 	optRuns     atomic.Uint64 // optimize runs started (streams + jobs)
 	optPoints   atomic.Uint64 // design points evaluated (admits + rejects)
@@ -209,7 +211,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		eng:      cfg.Engine,
 		comp:     compile.New(searcher),
-		plans:    newPlanCache(cfg.PlanCacheSize),
+		plans:    memo.New[string, *planEntry](cfg.PlanCacheSize),
 		store:    cfg.Store,
 		peers:    cfg.Peers,
 		jobs:     newJobSet(cfg.JobTTL, cfg.MaxJobs),
@@ -297,7 +299,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rw := &responseWriter{ResponseWriter: w}
 	s.mux.ServeHTTP(rw, r)
 	d := time.Since(start)
-	s.hist.observe(d)
 	s.httpHist.Observe(d.Seconds())
 	if s.logger != nil {
 		s.logger.Printf("%s %s %s %d %dB %s", rid, r.Method, r.URL.Path, rw.code(), rw.bytes, d.Round(time.Microsecond))
@@ -402,7 +403,8 @@ func (s *Server) release() { <-s.sem }
 // (wait indefinitely) over the compile-endpoint one (bounded queue, 503).
 // hop marks a request already proxied by a peer, which must be answered
 // locally (never re-proxied). The returned entry is shared and must not be
-// mutated.
+// mutated; the bool reports whether it was served without running the fill
+// below (a stored hit or a coalesced join).
 //
 // A miss fills through the cache tiers in cost order, all inside the
 // singleflight (so N identical concurrent requests — including a fleet-wide
@@ -425,14 +427,14 @@ func (s *Server) release() { <-s.sem }
 // compile through its "handler" phase. Store and peer fills carry no
 // provenance — the search they avoid is exactly the part worth tracing.
 func (s *Server) compilePlan(ctx context.Context, key string, req compile.Request, block, hop bool) (*planEntry, bool, error) {
-	return s.plans.do(ctx, key, func() (compiled, error) {
+	entry, out, err := s.plans.Do(ctx, key, func(ctx context.Context) (*planEntry, error) {
 		if s.store != nil {
 			if data, totals, ok := s.store.GetPlan(key); ok {
-				return compiled{totals: totals, data: data, source: sourceStore}, nil
+				return &planEntry{totals: totals, data: data, source: sourceStore}, nil
 			}
 		}
-		if res, ok := s.fetchFromPeer(ctx, key, req, hop); ok {
-			return res, nil
+		if e := s.fetchFromPeer(ctx, key, req, hop); e != nil {
+			return e, nil
 		}
 		prov := obs.New(req.Network.Name)
 		pctx := obs.NewContext(ctx, prov)
@@ -445,12 +447,12 @@ func (s *Server) compilePlan(ctx context.Context, key string, req compile.Reques
 		}
 		qsp.End()
 		if err != nil {
-			return compiled{}, err
+			return nil, err
 		}
 		defer s.release()
 		p, err := s.comp.Compile(pctx, req)
 		if err != nil {
-			return compiled{}, err
+			return nil, err
 		}
 		// Serialize compactly once; every request served from this entry —
 		// including warm hits, which are allocation-free — writes these bytes.
@@ -459,7 +461,7 @@ func (s *Server) compilePlan(ctx context.Context, key string, req compile.Reques
 		err = p.Encode(&buf)
 		esp.End()
 		if err != nil {
-			return compiled{}, err
+			return nil, err
 		}
 		s.observeCompile(prov)
 		if s.store != nil {
@@ -469,26 +471,27 @@ func (s *Server) compilePlan(ctx context.Context, key string, req compile.Reques
 			// degradation stays warm across its own restarts too.
 			s.store.PutPlan(key, buf.Bytes())
 		}
-		return compiled{totals: p.Totals, data: buf.Bytes(), trace: prov.Tree(), phases: prov.Phases()}, nil
+		return &planEntry{totals: p.Totals, data: buf.Bytes(), trace: prov.Tree(), phases: prov.Phases()}, nil
 	})
+	return entry, out != memo.Computed, err
 }
 
 // fetchFromPeer tries to fill a miss from the key's owning peer. It returns
-// ok=false — degrade to local compute — when no fleet is configured, the
+// nil — degrade to local compute — when no fleet is configured, the
 // request already took its one hop, this node owns the key, the request is
 // not wire-representable, or the owner is down or answers garbage. Failures
 // of an actual attempt are counted; configuration-based skips are not.
-func (s *Server) fetchFromPeer(ctx context.Context, key string, req compile.Request, hop bool) (compiled, bool) {
+func (s *Server) fetchFromPeer(ctx context.Context, key string, req compile.Request, hop bool) *planEntry {
 	if s.peers == nil || hop {
-		return compiled{}, false
+		return nil
 	}
 	owner, self := s.peers.Ring().Owner(key)
 	if self {
-		return compiled{}, false
+		return nil
 	}
 	body, ok := proxyBody(req)
 	if !ok {
-		return compiled{}, false
+		return nil
 	}
 	data, err := s.peers.Fetch(ctx, owner, body)
 	if err != nil {
@@ -496,7 +499,7 @@ func (s *Server) fetchFromPeer(ctx context.Context, key string, req compile.Requ
 		if s.logger != nil {
 			s.logger.Printf("peer: falling back to local compute for %s: %v", req.Network.Name, err)
 		}
-		return compiled{}, false
+		return nil
 	}
 	// Verify the peer's bytes exactly like a store load: a corrupt or
 	// truncated response, or a valid plan for some other request, must never
@@ -509,10 +512,10 @@ func (s *Server) fetchFromPeer(ctx context.Context, key string, req compile.Requ
 		if s.logger != nil {
 			s.logger.Printf("peer: rejected invalid plan from %s: %v", owner, err)
 		}
-		return compiled{}, false
+		return nil
 	}
 	s.peerProxied.Add(1)
-	return compiled{totals: totals, data: data, source: sourcePeer}, true
+	return &planEntry{totals: totals, data: data, source: sourcePeer}
 }
 
 // proxyBody serializes a resolved request back into the /v1/compile wire
@@ -596,7 +599,7 @@ func (s *Server) cachedEntry(req compile.Request) (*planEntry, error) {
 		return nil, err
 	}
 	*bp = buf // keep the grown capacity
-	entry := s.plans.hit(buf)
+	entry, _ := memo.GetBytes(s.plans, buf)
 	keyBufPool.Put(bp)
 	return entry, nil
 }
@@ -763,7 +766,9 @@ type ServerStats struct {
 	Queued   int64  `json:"queued"`
 	Rejected uint64 `json:"rejected"`
 
-	// LatencyMs is the request-latency histogram.
+	// LatencyMs is the request-latency histogram: the
+	// vwsdk_http_request_duration_seconds observations of /metrics, with
+	// the obs.DurationBuckets bounds in milliseconds.
 	LatencyMs Histogram `json:"latency_ms"`
 }
 
@@ -819,9 +824,9 @@ func (s *Server) Stats() Stats {
 			InFlight:  s.inFlight.Load(),
 			Queued:    s.queued.Load(),
 			Rejected:  s.rejected.Load(),
-			LatencyMs: s.hist.snapshot(),
+			LatencyMs: latencyMs(s.httpHist),
 		},
-		PlanCache: s.plans.stats(),
+		PlanCache: s.plans.Stats(),
 		Jobs:      s.jobs.stats(),
 		Optimize: OptimizeStats{
 			Runs:            s.optRuns.Load(),
@@ -844,46 +849,24 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// latencyBoundsMs are the histogram bucket upper bounds in milliseconds;
-// requests slower than the last bound land in the overflow bucket.
-var latencyBoundsMs = [...]float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500}
-
-// latencyHist is a fixed-bucket latency histogram with atomic counters.
-type latencyHist struct {
-	counts [len(latencyBoundsMs) + 1]atomic.Uint64
-}
-
-func (h *latencyHist) observe(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	for i, bound := range latencyBoundsMs[:] {
-		if ms <= bound {
-			h.counts[i].Add(1)
-			return
-		}
-	}
-	h.counts[len(latencyBoundsMs)].Add(1)
-}
-
-// Histogram is the JSON form of the latency histogram. Buckets are
-// disjoint, not cumulative: counts[i] is the number of requests with
-// latency in (upper_bounds_ms[i-1], upper_bounds_ms[i]], and the final
-// count is the overflow bucket beyond the last bound.
+// Histogram is the JSON form of the request-latency histogram, in
+// milliseconds. Buckets are disjoint, not cumulative: counts[i] is the
+// number of requests with latency in (upper_bounds_ms[i-1],
+// upper_bounds_ms[i]], and the final count is the overflow bucket beyond
+// the last bound.
 type Histogram struct {
 	UpperBoundsMs []float64 `json:"upper_bounds_ms"`
 	Counts        []uint64  `json:"counts"`
 }
 
-func (h *latencyHist) snapshot() Histogram {
-	// Both slices are fresh copies: the bounds array is shared process-wide
-	// and must not be mutable through the exported Stats API.
-	out := Histogram{
-		UpperBoundsMs: append([]float64(nil), latencyBoundsMs[:]...),
-		Counts:        make([]uint64, len(h.counts)),
+// latencyMs renders the /metrics request-duration histogram (seconds) as
+// the /stats one, so both endpoints report the same observations.
+func latencyMs(h *obs.Histogram) Histogram {
+	bounds, counts := h.Snapshot()
+	for i := range bounds {
+		bounds[i] *= 1000
 	}
-	for i := range h.counts {
-		out.Counts[i] = h.counts[i].Load()
-	}
-	return out
+	return Histogram{UpperBoundsMs: bounds, Counts: counts}
 }
 
 // httpError is an error with an HTTP status, rendered as the structured

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/compile"
 	"repro/internal/core"
@@ -447,64 +446,6 @@ func TestSweepOptionsVariantApplies(t *testing.T) {
 	}
 }
 
-// TestPlanCacheLeaderErrorNotShared pins that a joiner coalesced onto a
-// flight whose leader fails (e.g. the leader's client hung up) runs its own
-// compute instead of inheriting the leader's private error.
-func TestPlanCacheLeaderErrorNotShared(t *testing.T) {
-	c := newPlanCache(4)
-	leaderIn := make(chan struct{})
-	joinerJoined := make(chan struct{})
-	leaderErr := fmt.Errorf("leader's client hung up")
-
-	type outcome struct {
-		entry *planEntry
-		hit   bool
-		err   error
-	}
-	leaderDone := make(chan outcome, 1)
-	go func() {
-		e, hit, err := c.do(context.Background(), "k", func() (compiled, error) {
-			close(leaderIn)
-			<-joinerJoined
-			return compiled{}, leaderErr
-		})
-		leaderDone <- outcome{e, hit, err}
-	}()
-
-	<-leaderIn
-	joinerDone := make(chan outcome, 1)
-	go func() {
-		e, hit, err := c.do(context.Background(), "k", func() (compiled, error) {
-			return compiled{data: []byte("joiner bytes")}, nil
-		})
-		joinerDone <- outcome{e, hit, err}
-	}()
-	// The joiner is coalesced once the dedupe counter moves; only then may
-	// the leader fail.
-	for c.stats().Dedupes == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	close(joinerJoined)
-
-	if got := <-leaderDone; got.err != leaderErr {
-		t.Fatalf("leader err = %v, want its own error", got.err)
-	}
-	got := <-joinerDone
-	if got.err != nil {
-		t.Fatalf("joiner inherited an error: %v", got.err)
-	}
-	if got.hit || string(got.entry.data) != "joiner bytes" {
-		t.Fatalf("joiner outcome %+v, want its own computed entry", got)
-	}
-	// The joiner's successful retry is cached for later requests.
-	if e, hit, err := c.do(context.Background(), "k", func() (compiled, error) {
-		t.Fatal("cached key recomputed")
-		return compiled{}, nil
-	}); err != nil || !hit || string(e.data) != "joiner bytes" {
-		t.Fatalf("follow-up not served from cache: hit=%v err=%v", hit, err)
-	}
-}
-
 // TestSweepCellOutcomes pins the per-cell contract on both failure classes:
 // a cancelled context makes the cell incomplete (an error return, nothing to
 // emit — the stream carries only completed cells), while an uncompilable
@@ -566,7 +507,7 @@ func TestSweepErrorPaths(t *testing.T) {
 // request counts.
 func TestStatsEndpoint(t *testing.T) {
 	eng := engine.New(engine.WithCacheSize(1))
-	_, ts := newTestServer(t, Config{Engine: eng, PlanCacheSize: 1})
+	s, ts := newTestServer(t, Config{Engine: eng, PlanCacheSize: 1})
 	// Two distinct compiles through a capacity-1 plan cache (and a
 	// capacity-1 engine cache with two distinct layer shapes) force
 	// evictions at both levels.
@@ -608,6 +549,18 @@ func TestStatsEndpoint(t *testing.T) {
 	if len(st.Server.LatencyMs.Counts) != len(st.Server.LatencyMs.UpperBoundsMs)+1 {
 		t.Errorf("histogram shape: %d counts for %d bounds",
 			len(st.Server.LatencyMs.Counts), len(st.Server.LatencyMs.UpperBoundsMs))
+	}
+	// /stats and /metrics report one histogram: with no request in between,
+	// the /stats counts sum to the exposition's request-duration _count.
+	n = 0
+	for _, c := range s.Stats().Server.LatencyMs.Counts {
+		n += c
+	}
+	var exp bytes.Buffer
+	s.metrics.WriteTo(&exp)
+	want := fmt.Sprintf("\nvwsdk_http_request_duration_seconds_count %d\n", n)
+	if !strings.Contains(exp.String(), want) {
+		t.Errorf("/stats latency counts sum to %d; exposition lacks %q", n, strings.TrimSpace(want))
 	}
 }
 
