@@ -13,8 +13,9 @@
 // energy.EstimateLayers path the experiments, CLIs and examples previously
 // stitched together themselves.
 //
-// The stages run as a pipeline: layer searches fan out through the
-// compiler's Searcher (normally the concurrent, memoizing engine), and
+// The stages run as a pipeline: each layer's search is one Search call on
+// the compiler's core.Searcher (normally the concurrent, memoizing engine)
+// for the core.Method that Options.Scheme and Options.Variant select, and
 // scheduling, energy estimation and physical planning stream per layer as
 // each search completes — layer i's schedule is built while layer j is still
 // searching. Options selects the mapping scheme, the VW-SDK ablation
@@ -104,6 +105,26 @@ type Options struct {
 	// (mapping.NewPlan) for every layer. Plans are execution artifacts, not
 	// part of the serialized NetworkPlan.
 	Plans bool
+}
+
+// coreSchemes maps each Scheme to the core scheme its search runs. The two
+// enums differ only in order: Scheme keeps its own numbering because
+// compile.Key encodes it.
+var coreSchemes = [...]core.Scheme{
+	VWSDK:  core.SchemeVWSDK,
+	Im2col: core.SchemeIm2col,
+	SMD:    core.SchemeSMD,
+	SDK:    core.SchemeSDK,
+}
+
+// method returns the core search method the options select; an unknown
+// Scheme maps to the invalid core scheme -1.
+func (o Options) method() core.Method {
+	s := core.Scheme(-1)
+	if o.Scheme >= 0 && int(o.Scheme) < len(coreSchemes) {
+		s = coreSchemes[o.Scheme]
+	}
+	return core.Method{Scheme: s, Variant: o.Variant}
 }
 
 // normalized fills in the option defaults.
@@ -240,29 +261,6 @@ func New(s core.Searcher) *Compiler {
 // Searcher returns the searcher the compiler runs on.
 func (c *Compiler) Searcher() core.Searcher { return c.s }
 
-// search runs the option-selected mapping search for one layer.
-func (c *Compiler) search(ctx context.Context, l core.Layer, a core.Array, opts Options) (core.Result, error) {
-	switch opts.Scheme {
-	case Im2col:
-		if err := ctx.Err(); err != nil {
-			return core.Result{}, err
-		}
-		m, err := core.Im2col(l, a)
-		if err != nil {
-			return core.Result{}, err
-		}
-		return core.Result{Best: m, Im2col: m}, nil
-	case SMD:
-		return c.s.SearchSMD(ctx, l, a)
-	case SDK:
-		return c.s.SearchSDK(ctx, l, a)
-	case VWSDK:
-		return c.s.SearchVariant(ctx, l, a, opts.Variant)
-	default:
-		return core.Result{}, fmt.Errorf("compile: unknown scheme %v", opts.Scheme)
-	}
-}
-
 // compileLayer runs the full per-layer pipeline: search, then schedule,
 // energy and (optionally) the physical plan as soon as the search returns.
 func (c *Compiler) compileLayer(ctx context.Context, cl model.ConvLayer, a core.Array, opts Options) (LayerPlan, error) {
@@ -271,7 +269,7 @@ func (c *Compiler) compileLayer(ctx context.Context, cl model.ConvLayer, a core.
 	lsp.SetStr("name", cl.Name)
 	lp := LayerPlan{Layer: cl}
 	sctx, sp := obs.Start(ctx, "search")
-	res, err := c.search(sctx, cl.Layer, a, opts)
+	res, err := c.s.Search(sctx, cl.Layer, a, opts.method())
 	sp.End()
 	if err != nil {
 		return LayerPlan{}, err
@@ -320,6 +318,9 @@ func (c *Compiler) Compile(ctx context.Context, req Request) (*NetworkPlan, erro
 	req.Options = req.Options.normalized()
 	if err := req.Options.Energy.Validate(); err != nil {
 		return nil, err
+	}
+	if req.Options.method().Scheme < 0 {
+		return nil, fmt.Errorf("compile: unknown scheme %v", req.Options.Scheme)
 	}
 	ctx, sp := obs.Start(ctx, "compile")
 	defer sp.End()

@@ -22,8 +22,11 @@ func TestSearchContextCancelled(t *testing.T) {
 		"full":      func() (Result, error) { return SearchVariantContext(ctx, l, a, VariantFull) },
 		"square":    func() (Result, error) { return SearchVariantContext(ctx, l, a, VariantSquareTiled) },
 		"rect":      func() (Result, error) { return SearchVariantContext(ctx, l, a, VariantRectFullChannel) },
-		"exh-vwsdk": func() (Result, error) { return Exhaustive{}.SearchVWSDK(ctx, l, a) },
-		"exh-rect":  func() (Result, error) { return Exhaustive{}.SearchVariant(ctx, l, a, VariantRectFullChannel) },
+		"im2col":    func() (Result, error) { return Serial{}.Search(ctx, l, a, Method{Scheme: SchemeIm2col}) },
+		"exh-vwsdk": func() (Result, error) { return Exhaustive{}.Search(ctx, l, a, Method{Scheme: SchemeVWSDK}) },
+		"exh-rect": func() (Result, error) {
+			return Exhaustive{}.Search(ctx, l, a, Method{Scheme: SchemeVWSDK, Variant: VariantRectFullChannel})
+		},
 	}
 	for name, search := range searches {
 		res, err := search()

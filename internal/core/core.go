@@ -21,6 +21,8 @@
 // because the array is smaller than the layer.
 //
 // SearchVWSDK implements Algorithm 1 of the paper; SearchSDK and SearchSMD
-// implement the baselines the paper compares against. Utilization follows
-// eq. 9 and counts weight-holding cells per cycle.
+// implement the baselines the paper compares against. A Searcher runs any
+// of them through one call, Search(ctx, layer, array, Method): Serial with
+// the default searches, Exhaustive with the brute-force reference sweeps.
+// Utilization follows eq. 9 and counts weight-holding cells per cycle.
 package core

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 )
 
 // Layer describes a single convolutional layer in the geometry the paper
@@ -50,7 +52,17 @@ func (l Layer) Normalized() Layer {
 }
 
 // Validate reports whether the layer geometry is well formed: positive
-// dimensions, kernel no larger than the padded IFM, and non-negative padding.
+// dimensions, kernel no larger than the padded IFM, non-negative padding,
+// and sizes the cost model can count without wrapping.
+//
+// The size bound admits a layer only if the padded IFM sides IW+2·PadW and
+// IH+2·PadH and the product OutW·OutH·KW·KH·IC·OC fit in an int (int64 on
+// 64-bit platforms). That product bounds every im2col, SMD and VW-SDK
+// quantity (eq. 1–8): a parallel-window count NPW ≤ OutW·OutH, a row-tile
+// count AR ≤ KW·KH·ICg, a column-tile count AC ≤ OCg, and ICg·G = IC, so
+// Cycles = NPW·AR·AC·G ≤ OutW·OutH·KW·KH·IC·OC and every factor and partial
+// product fits too. The SDK baseline's and the rect+full-channel ablation's
+// window-area products are not covered by this bound.
 func (l Layer) Validate() error {
 	l = l.Normalized()
 	switch {
@@ -64,6 +76,8 @@ func (l Layer) Validate() error {
 		return fmt.Errorf("core: layer %q: non-positive stride %dx%d", l.Name, l.StrideW, l.StrideH)
 	case l.PadW < 0 || l.PadH < 0:
 		return fmt.Errorf("core: layer %q: negative padding %dx%d", l.Name, l.PadW, l.PadH)
+	case l.PadW > (math.MaxInt-l.IW)/2 || l.PadH > (math.MaxInt-l.IH)/2:
+		return l.errTooLarge()
 	case l.KW > l.PaddedW() || l.KH > l.PaddedH():
 		return fmt.Errorf("core: layer %q: kernel %dx%d exceeds padded IFM %dx%d",
 			l.Name, l.KW, l.KH, l.PaddedW(), l.PaddedH())
@@ -75,8 +89,35 @@ func (l Layer) Validate() error {
 	case l.Groups > 1 && l.OC%l.Groups != 0:
 		return fmt.Errorf("core: layer %q: output channels %d not divisible by groups %d",
 			l.Name, l.OC, l.Groups)
+	case !productFits((l.PaddedW()-l.KW)/l.StrideW+1, (l.PaddedH()-l.KH)/l.StrideH+1, l.KW, l.KH, l.IC, l.OC):
+		// OutW·OutH·KW·KH·IC·OC, with OutW and OutH spelled out because l
+		// is already normalized.
+		return l.errTooLarge()
 	}
 	return nil
+}
+
+// errTooLarge is Validate's size-bound error. It is built outside Validate
+// so that Validate, the leaf of every search's deepest call chain, keeps a
+// small stack frame on the success path.
+//
+//go:noinline
+func (l Layer) errTooLarge() error {
+	return fmt.Errorf("core: layer %q: IW+2·PadW, IH+2·PadH or OutW·OutH·KW·KH·IC·OC overflows int64 (%v)", l.Name, l)
+}
+
+// productFits reports whether the product of the positive factors fits in
+// an int, using overflow-checked 64-bit multiplication.
+func productFits(factors ...int) bool {
+	p := uint64(1)
+	for _, f := range factors {
+		hi, lo := bits.Mul64(p, uint64(f))
+		if hi != 0 || lo > math.MaxInt {
+			return false
+		}
+		p = lo
+	}
+	return true
 }
 
 // NumGroups returns the effective group count: Groups, with zero (the dense
@@ -190,9 +231,14 @@ func windowsInside(pw, k, stride int) int {
 	return (pw-k)/stride + 1
 }
 
-// ceilDiv returns ceil(a/b) for positive b.
+// ceilDiv returns ceil(a/b) for non-negative a and positive b, without the
+// a+b-1 intermediate that wraps for a near math.MaxInt.
 func ceilDiv(a, b int) int {
-	return (a + b - 1) / b
+	q := a / b
+	if q*b != a {
+		q++
+	}
+	return q
 }
 
 // ceilDiv64 returns ceil(a/b) for positive b on 64-bit values.

@@ -269,17 +269,7 @@ func SearchVariant(l Layer, a Array, v Variant) (Result, error) {
 // SearchVariantContext is SearchVariant under a caller context with the same
 // per-row cancellation checkpoints as SearchVWSDKContext.
 func SearchVariantContext(ctx context.Context, l Layer, a Array, v Variant) (Result, error) {
-	l = l.Normalized()
-	switch v {
-	case VariantFull:
-		return searchVWSDKClosed(ctx, l, a, nil)
-	case VariantSquareTiled:
-		return searchSquareTiledPruned(ctx, l, a)
-	case VariantRectFullChannel:
-		return searchRectFullChannelPruned(ctx, l, a)
-	default:
-		return Result{}, fmt.Errorf("core: unknown variant %d", int(v))
-	}
+	return Serial{}.Search(ctx, l, a, Method{Scheme: SchemeVWSDK, Variant: v})
 }
 
 // SearchVariantExhaustive is the brute-force counterpart of SearchVariant:

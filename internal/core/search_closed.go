@@ -133,7 +133,12 @@ func searchVWSDKClosed(ctx context.Context, l Layer, a Array, st *SearchStats) (
 			}
 			// The largest w' whose window count along the width is nwWEnd;
 			// the bounds are ≥ w by construction, max only guards a stall.
-			end = min(end, l.KW+nwWEnd*l.StrideW-1, W)
+			// Any nwWEnd ≥ OutW reaches W, so KW+nwWEnd·StrideW−1 is only
+			// formed below OutW, where it cannot wrap for huge strides.
+			end = min(end, W)
+			if nwWEnd < outW {
+				end = min(end, l.KW+nwWEnd*l.StrideW-1)
+			}
 			w = max(end, w) + 1
 		}
 	}
@@ -166,7 +171,7 @@ func searchVWSDKClosed(ctx context.Context, l Layer, a Array, st *SearchStats) (
 // the contiguous range [KW, min(PaddedW, Rows/h, widest w with NwW·NwH ≤
 // Cols)], minus the kernel-sized seed in the first row.
 func sweptVWSDK(l Layer, a Array) int {
-	n := 0
+	n, outW := 0, l.OutW()
 	for h := l.KH; h <= l.PaddedH(); h++ {
 		if l.KW*h > a.Rows {
 			break // no feasible width in this or any taller row
@@ -175,8 +180,12 @@ func sweptVWSDK(l Layer, a Array) int {
 		if nwH > a.Cols {
 			break
 		}
-		// NwW ≤ Cols/(NwH) ⇔ w ≤ KW + floor(Cols/NwH)·StrideW − 1.
-		wMax := min(a.Rows/h, l.KW+(a.Cols/nwH)*l.StrideW-1, l.PaddedW())
+		// NwW ≤ Cols/(NwH) ⇔ w ≤ KW + floor(Cols/NwH)·StrideW − 1, which
+		// is only formed below OutW (as in the class walk).
+		wMax := min(a.Rows/h, l.PaddedW())
+		if nw := a.Cols / nwH; nw < outW {
+			wMax = min(wMax, l.KW+nw*l.StrideW-1)
+		}
 		n += wMax - l.KW + 1
 		if h == l.KH {
 			n-- // the kernel-sized seed is covered by im2col, never costed

@@ -133,43 +133,6 @@ func TestExhaustiveCandidatesSquareTiled(t *testing.T) {
 	}
 }
 
-// TestExhaustiveSearcher pins that the Exhaustive reference Searcher agrees
-// with Serial (the default searches) on a whole-network search.
-func TestExhaustiveSearcher(t *testing.T) {
-	ctx := context.Background()
-	layers := resnet18Shapes()
-	want, err := Serial{}.SearchNetwork(ctx, layers, array512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Exhaustive{}.SearchNetwork(ctx, layers, array512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.TotalCycles != got.TotalCycles || want.TotalIm2col != got.TotalIm2col {
-		t.Errorf("totals differ: serial %d/%d, exhaustive %d/%d",
-			want.TotalCycles, want.TotalIm2col, got.TotalCycles, got.TotalIm2col)
-	}
-	for i := range want.Results {
-		if !reflect.DeepEqual(want.Results[i].Best, got.Results[i].Best) {
-			t.Errorf("layer %d: Best differs", i)
-		}
-	}
-	for _, pair := range [][2]func(context.Context, Layer, Array) (Result, error){
-		{Serial{}.SearchSDK, Exhaustive{}.SearchSDK},
-		{Serial{}.SearchSMD, Exhaustive{}.SearchSMD},
-	} {
-		w, err1 := pair[0](ctx, layers[0], array512)
-		g, err2 := pair[1](ctx, layers[0], array512)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if !reflect.DeepEqual(w, g) {
-			t.Error("baseline searches diverge between Serial and Exhaustive")
-		}
-	}
-}
-
 // TestSearchSDKBoundsGuard proves dropping the old max(pw.W,pw.H) > maxSide
 // guard changes nothing wherever it was redundant: for square IFMs (any
 // kernel) and for square kernels with equal strides (where the candidate

@@ -1,86 +1,104 @@
 package core
 
-import "context"
+import (
+	"context"
+	"fmt"
+)
 
-// Searcher is the set of mapping searches shared by the serial reference
-// implementation (Serial) and the concurrent, memoizing engine
-// (internal/engine). Experiment generators, the compile pipeline and the
-// CLIs accept a Searcher so callers choose the execution strategy; both
-// implementations return bit-identical results.
+// Method names one mapping search: a scheme and, for VW-SDK, an ablation
+// variant. It is a small comparable value, usable directly in cache keys.
+// The variant only counts for SchemeVWSDK; Normalized resets it for every
+// other scheme, so the im2col, SMD and SDK searches have one Method each
+// and Method{Scheme: SchemeVWSDK} (VariantFull) is Algorithm 1 itself.
+type Method struct {
+	Scheme  Scheme
+	Variant Variant
+}
+
+// Normalized returns m with the variant reset to VariantFull unless the
+// scheme is SchemeVWSDK, so methods that run the same search compare equal.
+func (m Method) Normalized() Method {
+	if m.Scheme != SchemeVWSDK {
+		m.Variant = VariantFull
+	}
+	return m
+}
+
+// Searcher runs one mapping search. Three implementations exist: Serial
+// (this package's default searches), Exhaustive (the brute-force reference
+// oracle) and the concurrent, memoizing engine (internal/engine), which
+// runs Serial under a cache and a worker pool. All three return the same
+// Best and Im2col for every Method; Serial and the engine are bit-identical.
+// Experiment generators, the compile pipeline and the CLIs accept a
+// Searcher so callers choose the execution strategy.
 //
-// Every method is context-first: the search loops run cooperative
-// cancellation checkpoints (once per candidate row), so a cancelled or
-// expired context actually stops the work instead of letting it run to
-// completion. Pass context.Background() when cancellation is not needed.
+// Search is context-first: the search loops run cooperative cancellation
+// checkpoints (once per candidate row), so a cancelled or expired context
+// actually stops the work instead of letting it run to completion. Pass
+// context.Background() when cancellation is not needed.
 type Searcher interface {
-	SearchVWSDK(ctx context.Context, l Layer, a Array) (Result, error)
-	SearchSDK(ctx context.Context, l Layer, a Array) (Result, error)
-	SearchSMD(ctx context.Context, l Layer, a Array) (Result, error)
-	SearchVariant(ctx context.Context, l Layer, a Array, v Variant) (Result, error)
-	SearchNetwork(ctx context.Context, layers []Layer, a Array) (NetworkResult, error)
+	Search(ctx context.Context, l Layer, a Array, m Method) (Result, error)
 }
 
 // Serial is the Searcher backed directly by this package's single-threaded
-// algorithms; it holds no state and the zero value is ready to use.
+// default searches; it holds no state and the zero value is ready to use.
 type Serial struct{}
 
-// SearchVWSDK runs Algorithm 1 serially.
-func (Serial) SearchVWSDK(ctx context.Context, l Layer, a Array) (Result, error) {
-	return SearchVWSDKContext(ctx, l, a)
-}
-
-// SearchSDK runs the SDK baseline search serially.
-func (Serial) SearchSDK(ctx context.Context, l Layer, a Array) (Result, error) {
-	return SearchSDKContext(ctx, l, a)
-}
-
-// SearchSMD runs the SMD baseline search serially.
-func (Serial) SearchSMD(ctx context.Context, l Layer, a Array) (Result, error) {
-	return SearchSMDContext(ctx, l, a)
-}
-
-// SearchVariant runs an ablated search serially.
-func (Serial) SearchVariant(ctx context.Context, l Layer, a Array, v Variant) (Result, error) {
-	return SearchVariantContext(ctx, l, a, v)
-}
-
-// SearchNetwork optimizes every layer and sums the totals.
-func (Serial) SearchNetwork(ctx context.Context, layers []Layer, a Array) (NetworkResult, error) {
-	return SearchNetworkContext(ctx, layers, a)
+// Search runs the method's default search: the im2col seed, the SMD or SDK
+// baseline, the closed-form Algorithm 1 or a pruned ablation enumerator.
+// The variant switch sits here rather than behind one more call because
+// every frame on this chain holds a 464-byte Result, and goroutine stack
+// growth is a measurable share of a cold compile.
+func (Serial) Search(ctx context.Context, l Layer, a Array, m Method) (Result, error) {
+	if m.Scheme != SchemeVWSDK {
+		return searchBaseline(ctx, l, a, m.Scheme)
+	}
+	l = l.Normalized()
+	switch m.Variant {
+	case VariantFull:
+		return searchVWSDKClosed(ctx, l, a, nil)
+	case VariantSquareTiled:
+		return searchSquareTiledPruned(ctx, l, a)
+	case VariantRectFullChannel:
+		return searchRectFullChannelPruned(ctx, l, a)
+	default:
+		return Result{}, fmt.Errorf("core: unknown variant %d", int(m.Variant))
+	}
 }
 
 // Exhaustive is the Searcher backed by the brute-force sweeps
-// (SearchVWSDKExhaustive / SearchVariantExhaustive): the reference the
-// default searches (the closed-form VW-SDK search and the pruned ablation
-// enumerators) are differentially tested and benchmarked against. The
-// baseline searches (SDK, SMD) have no default/exhaustive split and are
+// (SearchVWSDKExhaustive / SearchVariantExhaustive): the reference oracle
+// the default searches are differentially tested and benchmarked against.
+// The im2col, SMD and SDK searches have no default/exhaustive split and are
 // shared with Serial. The zero value is ready to use.
 type Exhaustive struct{}
 
-// SearchVWSDK runs the brute-force Algorithm 1 sweep.
-func (Exhaustive) SearchVWSDK(ctx context.Context, l Layer, a Array) (Result, error) {
-	return searchVWSDKExhaustive(ctx, l.Normalized(), a)
+// Search runs the method's brute-force search.
+func (Exhaustive) Search(ctx context.Context, l Layer, a Array, m Method) (Result, error) {
+	if m.Scheme == SchemeVWSDK {
+		return searchVariantExhaustive(ctx, l.Normalized(), a, m.Variant)
+	}
+	return searchBaseline(ctx, l, a, m.Scheme)
 }
 
-// SearchSDK runs the SDK baseline search (no exhaustive split).
-func (Exhaustive) SearchSDK(ctx context.Context, l Layer, a Array) (Result, error) {
-	return SearchSDKContext(ctx, l, a)
-}
-
-// SearchSMD runs the SMD baseline search (no exhaustive split).
-func (Exhaustive) SearchSMD(ctx context.Context, l Layer, a Array) (Result, error) {
-	return SearchSMDContext(ctx, l, a)
-}
-
-// SearchVariant runs a brute-force ablated sweep.
-func (Exhaustive) SearchVariant(ctx context.Context, l Layer, a Array, v Variant) (Result, error) {
-	return searchVariantExhaustive(ctx, l.Normalized(), a, v)
-}
-
-// SearchNetwork optimizes every layer with the brute-force sweep and sums
-// the totals.
-func (Exhaustive) SearchNetwork(ctx context.Context, layers []Layer, a Array) (NetworkResult, error) {
-	return SearchNetworkWith(ctx, layers, a, func(ctx context.Context, l Layer, a Array) (Result, error) {
-		return searchVWSDKExhaustive(ctx, l.Normalized(), a)
-	})
+// searchBaseline runs the im2col seed or the SMD or SDK baseline search,
+// which every Searcher shares.
+func searchBaseline(ctx context.Context, l Layer, a Array, s Scheme) (Result, error) {
+	switch s {
+	case SchemeIm2col:
+		if err := checkpoint(ctx); err != nil {
+			return Result{}, err
+		}
+		base, err := Im2col(l, a)
+		if err != nil {
+			return Result{}, err
+		}
+		return Result{Best: base, Im2col: base}, nil
+	case SchemeSMD:
+		return SearchSMDContext(ctx, l, a)
+	case SchemeSDK:
+		return SearchSDKContext(ctx, l, a)
+	default:
+		return Result{}, fmt.Errorf("core: unknown scheme %v", s)
+	}
 }

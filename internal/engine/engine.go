@@ -1,19 +1,20 @@
 // Package engine is the concurrent, memoizing front end to the core mapping
 // searches: it fans per-layer searches and batch-sweep cells across a
-// bounded worker pool and dedupes repeated (layer shape, array, search)
+// bounded worker pool and dedupes repeated (layer shape, array, method)
 // combinations through a memo.Group — an LRU of search results with
 // singleflight coalescing — because ResNet and VGG repeat layer shapes
 // heavily, and experiment sweeps re-cost the same pairs from scratch
 // otherwise.
 //
-// Each individual search runs the core package's default search
-// (core.SearchVWSDK and friends), which walks candidate cost classes on the
-// fly instead of materializing and chunking the O(PaddedW × PaddedH)
-// candidate slice the engine used to fan out; a search now evaluates a few
-// hundred classes at most, so the worker pool's parallelism is spent
-// where it pays — across layers and sweep cells — and per-search allocations
-// shrink to the result itself. WithExhaustiveSearch switches an engine to
-// the brute-force core sweeps for differential testing and benchmarking.
+// Every search goes through one memoized method, Search(ctx, layer, array,
+// core.Method), which SearchVariant, SearchNetwork and Sweep build on: it
+// runs core.Serial's search for the method (the im2col seed, the SMD or SDK
+// baseline, the closed-form Algorithm 1 or a pruned ablation enumerator)
+// under the memo, keyed on (layer shape, array, normalized method). Each
+// search evaluates a few hundred cost classes at most, so the worker pool's
+// parallelism is spent where it pays — across layers and sweep cells. The
+// brute-force reference oracle is core.Exhaustive, which callers that need
+// deliberately slow searches use directly.
 //
 // Every method is context-first: cancellation propagates into the worker
 // pool (a search waiting for a slot gives the slot up), into in-flight
@@ -44,11 +45,10 @@ import (
 // Engine schedules mapping searches over a worker pool and memoizes their
 // results. The zero value is not usable; call New.
 type Engine struct {
-	workers    int
-	cacheCap   int
-	exhaustive bool
-	sem        chan struct{}                       // bounds concurrently running searches
-	memo       *memo.Group[cacheKey, *core.Result] // name-cleared, never mutated
+	workers  int
+	cacheCap int
+	sem      chan struct{}                       // bounds concurrently running searches
+	memo     *memo.Group[cacheKey, *core.Result] // name-cleared, never mutated
 
 	// sweepCellHook, when non-nil, observes every sweep cell index just
 	// before its dispatch check. Tests use it to cancel a context at a
@@ -61,36 +61,22 @@ type Engine struct {
 	running  atomic.Int64 // searches currently holding a worker-pool slot
 }
 
-// searchKind discriminates the cached search families. Variant searches are
-// keyed by the variant itself; VariantFull shares the VW-SDK entry because
-// SearchVariant(VariantFull) is defined as SearchVWSDK.
-type searchKind uint8
-
-const (
-	kindVWSDK searchKind = iota
-	kindSDK
-	kindSMD
-	kindVariant
-)
-
 // cacheKey identifies one memoizable search: the normalized layer shape
 // (name cleared — ResNet/VGG repeat shapes under different names), the
-// array, and which search ran. VariantFull never appears as a kindVariant
-// key: Engine.SearchVariant routes it to SearchVWSDK, whose kindVWSDK entry
-// it shares by definition. core.Layer and core.Array are comparable
-// structs, so the key is directly usable as a map key.
+// array, and the normalized method, so the SDK and SMD entries ignore the
+// variant. core.Layer, core.Array and core.Method are comparable structs, so
+// the key is directly usable as a map key.
 type cacheKey struct {
-	layer   core.Layer
-	array   core.Array
-	kind    searchKind
-	variant core.Variant
+	layer  core.Layer
+	array  core.Array
+	method core.Method
 }
 
-// newCacheKey normalizes l and strips its name so equal shapes collide.
-func newCacheKey(l core.Layer, a core.Array, kind searchKind, v core.Variant) cacheKey {
+// newCacheKey normalizes l and m and strips l's name so equal shapes collide.
+func newCacheKey(l core.Layer, a core.Array, m core.Method) cacheKey {
 	l = l.Normalized()
 	l.Name = ""
-	return cacheKey{layer: l, array: a, kind: kind, variant: v}
+	return cacheKey{layer: l, array: a, method: m.Normalized()}
 }
 
 // Option configures an Engine.
@@ -106,17 +92,6 @@ func WithWorkers(n int) Option {
 // caching, n < 0 restores the default (4096).
 func WithCacheSize(n int) Option {
 	return func(e *Engine) { e.cacheCap = n }
-}
-
-// WithExhaustiveSearch routes the engine's VW-SDK and variant searches
-// through the brute-force core sweeps (core.SearchVWSDKExhaustive /
-// core.SearchVariantExhaustive) instead of the default closed-form VW-SDK
-// search and pruned variant enumerators.
-// Results are bit-identical either way; the option exists so differential
-// tests and cmd/vwsdkbench can compare the two paths under the same caching
-// and concurrency.
-func WithExhaustiveSearch() Option {
-	return func(e *Engine) { e.exhaustive = true }
 }
 
 // defaultCacheSize holds every distinct (shape, array, search) of a large
@@ -144,47 +119,48 @@ func New(opts ...Option) *Engine {
 // Workers reports the configured worker-pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// Stats are cumulative Engine counters.
+// Stats are cumulative Engine counters. The JSON names are the "engine"
+// object of vwsdkd's /stats.
 type Stats struct {
 	// Searches is the number of top-level search calls served.
-	Searches uint64
+	Searches uint64 `json:"searches"`
 
 	// CacheHits counts searches answered from the LRU cache or joined onto
 	// an identical in-flight search.
-	CacheHits uint64
+	CacheHits uint64 `json:"cache_hits"`
 
 	// CacheMisses counts searches that ran the underlying algorithm
 	// (including searches that were then cancelled mid-run).
-	CacheMisses uint64
+	CacheMisses uint64 `json:"cache_misses"`
 
 	// FlightDedupes counts searches that joined an identical in-flight
 	// search instead of starting their own computation (counted at join
 	// time; successful joins are also CacheHits).
-	FlightDedupes uint64
+	FlightDedupes uint64 `json:"flight_dedupes"`
 
 	// Evictions counts results dropped from the LRU cache to respect its
 	// capacity.
-	Evictions uint64
+	Evictions uint64 `json:"evictions"`
 
 	// CachedResults is the current number of cached results.
-	CachedResults int
+	CachedResults int `json:"cached_results"`
 
 	// CandidatesCosted sums Result.Evaluated over every search the engine
 	// actually computed (cache hits and in-flight joins cost nothing): the
 	// number of candidates evaluated — per cost class for the VW-SDK and
 	// variant searches, per window for the baselines.
-	CandidatesCosted uint64
+	CandidatesCosted uint64 `json:"candidates_costed"`
 
 	// CandidatesPruned counts the candidate windows the exhaustive sweeps
 	// would have costed for those same searches but the default cost-class
-	// walks skipped (core.ExhaustiveCandidates − Evaluated). Always 0
-	// on a WithExhaustiveSearch engine and for the SDK/SMD baselines, which
-	// have no pruned/exhaustive split.
-	CandidatesPruned uint64
+	// walks skipped (core.ExhaustiveCandidates − Evaluated). Always 0 for
+	// the im2col, SMD and SDK searches, which have no pruned/exhaustive
+	// split.
+	CandidatesPruned uint64 `json:"candidates_pruned"`
 
 	// InFlightSearches is the number of searches currently holding a
 	// worker-pool slot — a gauge, not cumulative.
-	InFlightSearches int64
+	InFlightSearches int64 `json:"in_flight_searches"`
 }
 
 // Stats returns a snapshot of the engine's counters.
@@ -203,43 +179,18 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// SearchVWSDK runs Algorithm 1 (the optimal parallel-window search) under
-// the cache and worker pool; bit-identical to core.SearchVWSDK.
-func (e *Engine) SearchVWSDK(ctx context.Context, l core.Layer, a core.Array) (core.Result, error) {
-	return e.SearchVariant(ctx, l, a, core.VariantFull)
-}
-
-// SearchSDK runs the square-window SDK baseline search; bit-identical to
-// core.SearchSDK.
-func (e *Engine) SearchSDK(ctx context.Context, l core.Layer, a core.Array) (core.Result, error) {
-	return e.memoized(ctx, newCacheKey(l, a, kindSDK, 0), l.Name, func(ctx context.Context) (core.Result, error) {
-		return e.withSlot(ctx, func() (core.Result, error) { return core.SearchSDKContext(ctx, l, a) })
+// Search runs the method's search (core.Serial) under the cache and worker
+// pool; bit-identical to core.Serial{}.Search.
+func (e *Engine) Search(ctx context.Context, l core.Layer, a core.Array, m core.Method) (core.Result, error) {
+	return e.memoized(ctx, newCacheKey(l, a, m), l.Name, func(ctx context.Context) (core.Result, error) {
+		return e.withSlot(ctx, func() (core.Result, error) { return core.Serial{}.Search(ctx, l, a, m) })
 	})
 }
 
-// SearchSMD runs the sub-matrix-duplication baseline search (a single costed
-// mapping) under the cache; bit-identical to core.SearchSMD.
-func (e *Engine) SearchSMD(ctx context.Context, l core.Layer, a core.Array) (core.Result, error) {
-	return e.memoized(ctx, newCacheKey(l, a, kindSMD, 0), l.Name, func(ctx context.Context) (core.Result, error) {
-		return e.withSlot(ctx, func() (core.Result, error) { return core.SearchSMDContext(ctx, l, a) })
-	})
-}
-
-// SearchVariant runs an ablated VW-SDK search; bit-identical to
-// core.SearchVariant. VariantFull shares cache entries with SearchVWSDK.
+// SearchVariant runs a VW-SDK search under ablation variant v through
+// Search.
 func (e *Engine) SearchVariant(ctx context.Context, l core.Layer, a core.Array, v core.Variant) (core.Result, error) {
-	k := newCacheKey(l, a, kindVariant, v)
-	if v == core.VariantFull {
-		k = newCacheKey(l, a, kindVWSDK, 0)
-	}
-	return e.memoized(ctx, k, l.Name, func(ctx context.Context) (core.Result, error) {
-		return e.withSlot(ctx, func() (core.Result, error) {
-			if e.exhaustive {
-				return core.Exhaustive{}.SearchVariant(ctx, l, a, v)
-			}
-			return core.SearchVariantContext(ctx, l, a, v)
-		})
-	})
+	return e.Search(ctx, l, a, core.Method{Scheme: core.SchemeVWSDK, Variant: v})
 }
 
 // SearchNetwork optimizes every layer through the engine concurrently and
@@ -281,7 +232,7 @@ func (e *Engine) memoized(ctx context.Context, k cacheKey, name string, compute 
 			return nil, err
 		}
 		e.countCandidates(k, res)
-		sp.SetStr("path", e.searchPath(k)).SetInt("candidates", int64(res.Evaluated))
+		sp.SetStr("path", searchPath(k.method)).SetInt("candidates", int64(res.Evaluated))
 		res = anonymized(res)
 		return &res, nil
 	})
@@ -296,22 +247,17 @@ func (e *Engine) memoized(ctx context.Context, k cacheKey, name string, compute 
 var outcomeNames = [...]string{memo.Computed: "miss", memo.Hit: "hit", memo.Joined: "coalesced"}
 
 // searchPath names the search implementation a computed result came from, for
-// span attribution: closed-form for every VW-SDK search (as core.SearchStats
-// reports), pruned for the ablated variants' enumerators, exhaustive on a
-// WithExhaustiveSearch engine, baseline for SDK/SMD.
-func (e *Engine) searchPath(k cacheKey) string {
-	if e.exhaustive {
-		return "exhaustive"
-	}
-	switch k.kind {
-	case kindVWSDK:
-		return core.PathClosedForm
-	case kindVariant:
-		// VariantFull keys are kindVWSDK; the ablated variants run their
-		// own pruned enumerators.
-		return "pruned"
-	default:
+// span attribution: closed-form for every full VW-SDK search (as
+// core.SearchStats reports), pruned for the ablated variants' enumerators,
+// baseline for im2col, SMD and SDK.
+func searchPath(m core.Method) string {
+	switch {
+	case m.Scheme != core.SchemeVWSDK:
 		return "baseline"
+	case m.Variant == core.VariantFull:
+		return core.PathClosedForm
+	default:
+		return "pruned"
 	}
 }
 
@@ -319,18 +265,11 @@ func (e *Engine) searchPath(k cacheKey) string {
 // for one computed (never cached) search result.
 func (e *Engine) countCandidates(k cacheKey, res core.Result) {
 	e.costed.Add(uint64(res.Evaluated))
-	if e.exhaustive {
+	if k.method.Scheme != core.SchemeVWSDK {
 		return
 	}
-	switch k.kind {
-	case kindVWSDK, kindVariant:
-		v := core.VariantFull
-		if k.kind == kindVariant {
-			v = k.variant
-		}
-		if ex := core.ExhaustiveCandidates(k.layer, v); ex > int64(res.Evaluated) {
-			e.pruned.Add(uint64(ex - int64(res.Evaluated)))
-		}
+	if ex := core.ExhaustiveCandidates(k.layer, k.method.Variant); ex > int64(res.Evaluated) {
+		e.pruned.Add(uint64(ex - int64(res.Evaluated)))
 	}
 }
 

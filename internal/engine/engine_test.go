@@ -26,54 +26,43 @@ var testArrays = []core.Array{
 	{Rows: 1024, Cols: 1024},
 }
 
+// vwsdk is the full VW-SDK search, Algorithm 1.
+var vwsdk = core.Method{Scheme: core.SchemeVWSDK}
+
+// methods lists every distinct search: the im2col seed, the SMD and SDK
+// baselines, and VW-SDK under each ablation variant.
+var methods = []core.Method{
+	{Scheme: core.SchemeIm2col},
+	{Scheme: core.SchemeSMD},
+	{Scheme: core.SchemeSDK},
+	vwsdk,
+	{Scheme: core.SchemeVWSDK, Variant: core.VariantSquareTiled},
+	{Scheme: core.SchemeVWSDK, Variant: core.VariantRectFullChannel},
+}
+
 // TestEngineMatchesSerialEverywhere is the differential test the engine's
 // correctness rests on: on every layer of every predefined network, for
-// every array size and every search family, the engine's result must be
-// bit-identical (reflect.DeepEqual on the full Result struct) to the serial
-// core algorithms'.
+// every array size and every method, the engine's result must be
+// bit-identical (reflect.DeepEqual on the full Result struct) to
+// core.Serial's.
 func TestEngineMatchesSerialEverywhere(t *testing.T) {
 	e := New()
-	type search struct {
-		name   string
-		serial func(core.Layer, core.Array) (core.Result, error)
-		engine func(core.Layer, core.Array) (core.Result, error)
-	}
-	searches := []search{
-		{"vwsdk", core.SearchVWSDK,
-			func(l core.Layer, a core.Array) (core.Result, error) { return e.SearchVWSDK(bg, l, a) }},
-		{"sdk", core.SearchSDK,
-			func(l core.Layer, a core.Array) (core.Result, error) { return e.SearchSDK(bg, l, a) }},
-		{"smd", core.SearchSMD,
-			func(l core.Layer, a core.Array) (core.Result, error) { return e.SearchSMD(bg, l, a) }},
-	}
-	for _, v := range []core.Variant{core.VariantFull, core.VariantSquareTiled, core.VariantRectFullChannel} {
-		v := v
-		searches = append(searches, search{
-			name: "variant/" + v.String(),
-			serial: func(l core.Layer, a core.Array) (core.Result, error) {
-				return core.SearchVariant(l, a, v)
-			},
-			engine: func(l core.Layer, a core.Array) (core.Result, error) {
-				return e.SearchVariant(bg, l, a, v)
-			},
-		})
-	}
 	for _, n := range model.All() {
 		for _, a := range testArrays {
 			for _, l := range n.CoreLayers() {
-				for _, s := range searches {
-					want, wantErr := s.serial(l, a)
-					got, gotErr := s.engine(l, a)
+				for _, m := range methods {
+					want, wantErr := core.Serial{}.Search(bg, l, a, m)
+					got, gotErr := e.Search(bg, l, a, m)
 					if (wantErr == nil) != (gotErr == nil) {
-						t.Fatalf("%s/%s/%v/%s: serial err=%v, engine err=%v",
-							n.Name, l.Name, a, s.name, wantErr, gotErr)
+						t.Fatalf("%s/%s/%v/%v: serial err=%v, engine err=%v",
+							n.Name, l.Name, a, m, wantErr, gotErr)
 					}
 					if wantErr != nil {
 						continue
 					}
 					if !reflect.DeepEqual(want, got) {
-						t.Errorf("%s/%s/%v/%s:\nserial %+v\nengine %+v",
-							n.Name, l.Name, a, s.name, want, got)
+						t.Errorf("%s/%s/%v/%v:\nserial %+v\nengine %+v",
+							n.Name, l.Name, a, m, want, got)
 					}
 				}
 			}
@@ -85,6 +74,64 @@ func TestEngineMatchesSerialEverywhere(t *testing.T) {
 	}
 }
 
+// TestSearchMethods is the differential test over every Method: on the
+// ResNet-18 and MobileNet-V2 shapes at 256x256 and 512x512, core.Serial,
+// the core.Exhaustive oracle, and a cold and a warm engine agree on Best
+// and Im2col. It also pins the key normalization: the variant only counts
+// for VW-SDK, so an SDK search under any variant is one engine entry.
+func TestSearchMethods(t *testing.T) {
+	coldEng, warmEng := New(WithCacheSize(0)), New()
+	for _, n := range []model.Network{model.ResNet18(), model.MobileNetV2()} {
+		for _, a := range []core.Array{{Rows: 256, Cols: 256}, {Rows: 512, Cols: 512}} {
+			for _, l := range n.CoreLayers() {
+				for _, m := range methods {
+					want, err := core.Serial{}.Search(bg, l, a, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					exh, err := core.Exhaustive{}.Search(bg, l, a, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cold, err := coldEng.Search(bg, l, a, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := warmEng.Search(bg, l, a, m); err != nil {
+						t.Fatal(err)
+					}
+					warm, err := warmEng.Search(bg, l, a, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for name, got := range map[string]core.Result{"exhaustive": exh, "cold engine": cold, "warm engine": warm} {
+						if got.Best != want.Best || got.Im2col != want.Im2col {
+							t.Errorf("%s/%s/%v/%v: %s Best %v, serial %v",
+								n.Name, l.Name, a, m, name, got.Best, want.Best)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	if st := coldEng.Stats(); st.CacheHits != 0 {
+		t.Errorf("cache-disabled engine served hits: %+v", st)
+	}
+
+	e := New()
+	l := core.Layer{Name: "c", IW: 14, IH: 14, KW: 3, KH: 3, IC: 64, OC: 64}
+	a := core.Array{Rows: 256, Cols: 256}
+	for _, v := range []core.Variant{core.VariantSquareTiled, core.VariantFull} {
+		if _, err := e.Search(bg, l, a, core.Method{Scheme: core.SchemeSDK, Variant: v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e.Stats(); st.CacheMisses != 1 || st.CacheHits != 1 {
+		t.Errorf("SDK under two variants: stats = %+v, want 1 miss then 1 hit", st)
+	}
+}
+
 // TestEngineCachedHitIsIdentical asserts a second lookup — served from the
 // cache, possibly under a different layer name — still equals the serial
 // result exactly.
@@ -92,7 +139,7 @@ func TestEngineCachedHitIsIdentical(t *testing.T) {
 	e := New()
 	l := core.Layer{Name: "conv4", IW: 14, IH: 14, KW: 3, KH: 3, IC: 256, OC: 256}
 	a := core.Array{Rows: 512, Cols: 512}
-	if _, err := e.SearchVWSDK(bg, l, a); err != nil {
+	if _, err := e.Search(bg, l, a, vwsdk); err != nil {
 		t.Fatal(err)
 	}
 	renamedLayer := l
@@ -101,7 +148,7 @@ func TestEngineCachedHitIsIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.SearchVWSDK(bg, renamedLayer, a)
+	got, err := e.Search(bg, renamedLayer, a, vwsdk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,12 +161,12 @@ func TestEngineCachedHitIsIdentical(t *testing.T) {
 }
 
 // TestEngineVariantFullSharesVWSDKCache pins that SearchVariant(VariantFull)
-// and SearchVWSDK hit one cache entry, like their serial definitions.
+// and Search(vwsdk) hit one cache entry: they are one method.
 func TestEngineVariantFullSharesVWSDKCache(t *testing.T) {
 	e := New()
 	l := core.Layer{Name: "c", IW: 14, IH: 14, KW: 3, KH: 3, IC: 64, OC: 64}
 	a := core.Array{Rows: 256, Cols: 256}
-	if _, err := e.SearchVWSDK(bg, l, a); err != nil {
+	if _, err := e.Search(bg, l, a, vwsdk); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.SearchVariant(bg, l, a, core.VariantFull); err != nil {
@@ -159,11 +206,11 @@ func TestEngineErrorsMatchSerial(t *testing.T) {
 	e := New()
 	bad := core.Layer{IW: 0, IH: 8, KW: 3, KH: 3, IC: 1, OC: 1}
 	a := core.Array{Rows: 512, Cols: 512}
-	if _, err := e.SearchVWSDK(bg, bad, a); err == nil {
+	if _, err := e.Search(bg, bad, a, vwsdk); err == nil {
 		t.Error("engine accepted invalid layer")
 	}
 	ok := core.Layer{IW: 8, IH: 8, KW: 3, KH: 3, IC: 1, OC: 1}
-	if _, err := e.SearchVWSDK(bg, ok, core.Array{}); err == nil {
+	if _, err := e.Search(bg, ok, core.Array{}, vwsdk); err == nil {
 		t.Error("engine accepted invalid array")
 	}
 	if st := e.Stats(); st.CachedResults != 0 {
@@ -193,7 +240,7 @@ func TestEngineConcurrentIdenticalSearches(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = e.SearchVWSDK(bg, l, a)
+			results[i], errs[i] = e.Search(bg, l, a, vwsdk)
 		}(i)
 	}
 	wg.Wait()
@@ -238,7 +285,7 @@ func TestEngineFlightDedupeCounter(t *testing.T) {
 	e.sem <- struct{}{}
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, err := e.SearchVWSDK(bg, l, a)
+		_, err := e.Search(bg, l, a, vwsdk)
 		leaderErr <- err
 	}()
 	// Wait until the leader has registered its flight (its miss is counted
@@ -248,7 +295,7 @@ func TestEngineFlightDedupeCounter(t *testing.T) {
 	}
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, err := e.SearchVWSDK(bg, l, a)
+		_, err := e.Search(bg, l, a, vwsdk)
 		waiterErr <- err
 	}()
 	// Wait until the waiter has observed the in-flight entry (its dedupe is
@@ -286,7 +333,7 @@ func TestEngineOptions(t *testing.T) {
 		New(WithWorkers(1), WithCacheSize(0)),
 		New(WithWorkers(64), WithCacheSize(1)),
 	} {
-		got, err := e.SearchVWSDK(bg, l, a)
+		got, err := e.Search(bg, l, a, vwsdk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +343,7 @@ func TestEngineOptions(t *testing.T) {
 	}
 	nocache := New(WithCacheSize(0))
 	for i := 0; i < 2; i++ {
-		if _, err := nocache.SearchVWSDK(bg, l, a); err != nil {
+		if _, err := nocache.Search(bg, l, a, vwsdk); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -316,7 +363,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	l1 := core.Layer{Name: "a", IW: 14, IH: 14, KW: 3, KH: 3, IC: 16, OC: 16}
 	l2 := core.Layer{Name: "b", IW: 16, IH: 16, KW: 3, KH: 3, IC: 16, OC: 16}
 	for _, l := range []core.Layer{l1, l2, l1} {
-		if _, err := e.SearchVWSDK(bg, l, a); err != nil {
+		if _, err := e.Search(bg, l, a, vwsdk); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -340,8 +387,7 @@ func TestCacheLRUEviction(t *testing.T) {
 // TestEngineCandidateCounters pins CandidatesCosted/CandidatesPruned
 // deterministically: one computed search adds exactly the serial result's
 // cost-class count and the exhaustive-minus-costed difference; cache hits add
-// nothing; baseline searches (no pruned/exhaustive split) prune nothing; and
-// a WithExhaustiveSearch engine reports zero pruning by definition.
+// nothing; and baseline searches (no pruned/exhaustive split) prune nothing.
 func TestEngineCandidateCounters(t *testing.T) {
 	l := core.Layer{Name: "conv4", IW: 14, IH: 14, KW: 3, KH: 3, IC: 256, OC: 256}
 	a := core.Array{Rows: 512, Cols: 512}
@@ -352,7 +398,7 @@ func TestEngineCandidateCounters(t *testing.T) {
 	enumerated := core.ExhaustiveCandidates(l, core.VariantFull)
 
 	e := New()
-	if _, err := e.SearchVWSDK(bg, l, a); err != nil {
+	if _, err := e.Search(bg, l, a, vwsdk); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
@@ -365,54 +411,20 @@ func TestEngineCandidateCounters(t *testing.T) {
 			st.CandidatesPruned, want, enumerated, serial.Evaluated)
 	}
 	// A cache hit costs nothing.
-	if _, err := e.SearchVWSDK(bg, l, a); err != nil {
+	if _, err := e.Search(bg, l, a, vwsdk); err != nil {
 		t.Fatal(err)
 	}
 	if st2 := e.Stats(); st2.CandidatesCosted != st.CandidatesCosted || st2.CandidatesPruned != st.CandidatesPruned {
 		t.Errorf("cache hit moved candidate counters: %+v -> %+v", st, st2)
 	}
 	// Baseline searches count their costed candidates but prune nothing.
-	sdk, err := e.SearchSDK(bg, l, a)
+	sdk, err := e.Search(bg, l, a, core.Method{Scheme: core.SchemeSDK})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st3 := e.Stats(); st3.CandidatesCosted != st.CandidatesCosted+uint64(sdk.Evaluated) ||
 		st3.CandidatesPruned != st.CandidatesPruned {
 		t.Errorf("SDK search counters off: %+v (sdk costed %d)", st3, sdk.Evaluated)
-	}
-
-	exh := New(WithExhaustiveSearch())
-	if _, err := exh.SearchVWSDK(bg, l, a); err != nil {
-		t.Fatal(err)
-	}
-	if st := exh.Stats(); st.CandidatesPruned != 0 || st.CandidatesCosted != uint64(serial.Swept) {
-		t.Errorf("exhaustive engine stats = %+v, want %d costed, 0 pruned", st, serial.Swept)
-	}
-}
-
-// TestEngineExhaustiveSearchOption pins that a WithExhaustiveSearch engine
-// returns the brute-force results (same Best, legacy Evaluated == Swept) on
-// a sample of zoo shapes and variants.
-func TestEngineExhaustiveSearchOption(t *testing.T) {
-	e := New(WithExhaustiveSearch())
-	a := core.Array{Rows: 512, Cols: 512}
-	for _, l := range model.ResNet18().CoreLayers() {
-		for _, v := range []core.Variant{core.VariantFull, core.VariantSquareTiled, core.VariantRectFullChannel} {
-			want, err := core.SearchVariantExhaustive(l, a, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := e.SearchVariant(bg, l, a, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s/%v: exhaustive engine differs from core exhaustive", l.Name, v)
-			}
-			if got.Evaluated != got.Swept {
-				t.Errorf("%s/%v: exhaustive Evaluated %d != Swept %d", l.Name, v, got.Evaluated, got.Swept)
-			}
-		}
 	}
 }
 

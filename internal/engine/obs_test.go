@@ -19,10 +19,10 @@ func TestSearchSpans(t *testing.T) {
 
 	tr := obs.New("test")
 	ctx := obs.NewContext(context.Background(), tr)
-	if _, err := e.SearchVWSDK(ctx, l, a); err != nil {
+	if _, err := e.Search(ctx, l, a, vwsdk); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SearchVWSDK(ctx, l, a); err != nil {
+	if _, err := e.Search(ctx, l, a, vwsdk); err != nil {
 		t.Fatal(err)
 	}
 
@@ -55,30 +55,11 @@ func TestSearchSpans(t *testing.T) {
 	dw := core.Layer{Name: "mbv2-dw96-s2", IW: 112, IH: 112, KW: 3, KH: 3, IC: 96, OC: 96,
 		StrideW: 2, StrideH: 2, PadW: 1, PadH: 1, Groups: 96}.Normalized()
 	tr = obs.New("test")
-	if _, err := e.SearchVWSDK(obs.NewContext(context.Background(), tr), dw, a); err != nil {
+	if _, err := e.Search(obs.NewContext(context.Background(), tr), dw, a, vwsdk); err != nil {
 		t.Fatal(err)
 	}
 	sp := obs.Find(tr.Tree(), "engine.search")
 	if sp == nil || sp.Attrs["outcome"] != "miss" || sp.Attrs["path"] != core.PathClosedForm {
 		t.Errorf("depthwise strided span = %+v, want outcome=miss path=%q", sp, core.PathClosedForm)
-	}
-}
-
-// TestSearchSpansExhaustive checks the exhaustive engine reports its path.
-func TestSearchSpansExhaustive(t *testing.T) {
-	e := New(WithWorkers(1), WithExhaustiveSearch())
-	l := core.Layer{Name: "probe", IW: 9, IH: 9, KW: 3, KH: 3, IC: 4, OC: 4}.Normalized()
-
-	tr := obs.New("test")
-	ctx := obs.NewContext(context.Background(), tr)
-	if _, err := e.SearchVWSDK(ctx, l, core.Array{Rows: 64, Cols: 64}); err != nil {
-		t.Fatal(err)
-	}
-	sp := obs.Find(tr.Tree(), "engine.search")
-	if sp == nil {
-		t.Fatal("no engine.search span")
-	}
-	if sp.Attrs["path"] != "exhaustive" {
-		t.Errorf("path = %v, want exhaustive", sp.Attrs["path"])
 	}
 }

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/conv"
@@ -94,35 +95,18 @@ func Verify(m core.Mapping, seed uint64) error {
 // and VW-SDK); SMD duplication and SDK have dense-only layouts and are
 // skipped.
 func VerifyAllSchemes(l core.Layer, a core.Array, seed uint64) error {
-	im, err := core.Im2col(l, a)
-	if err != nil {
-		return err
-	}
-	if err := Verify(im, seed); err != nil {
-		return fmt.Errorf("im2col: %w", err)
-	}
+	schemes := []core.Scheme{core.SchemeIm2col, core.SchemeVWSDK}
 	if l.Normalized().NumGroups() == 1 {
-		smd, err := core.SearchSMD(l, a)
+		schemes = []core.Scheme{core.SchemeIm2col, core.SchemeSMD, core.SchemeSDK, core.SchemeVWSDK}
+	}
+	for _, s := range schemes {
+		res, err := core.Serial{}.Search(context.Background(), l, a, core.Method{Scheme: s})
 		if err != nil {
 			return err
 		}
-		if err := Verify(smd.Best, seed); err != nil {
-			return fmt.Errorf("SMD: %w", err)
+		if err := Verify(res.Best, seed); err != nil {
+			return fmt.Errorf("%v: %w", s, err)
 		}
-		sdk, err := core.SearchSDK(l, a)
-		if err != nil {
-			return err
-		}
-		if err := Verify(sdk.Best, seed); err != nil {
-			return fmt.Errorf("SDK: %w", err)
-		}
-	}
-	vw, err := core.SearchVWSDK(l, a)
-	if err != nil {
-		return err
-	}
-	if err := Verify(vw.Best, seed); err != nil {
-		return fmt.Errorf("VW-SDK: %w", err)
 	}
 	return nil
 }

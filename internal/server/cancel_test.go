@@ -7,20 +7,19 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 )
 
-// gateSearcher is a core.Searcher whose leaf searches block until they can
-// take a token from release (or their context ends). Tests use it to hold a
+// gateSearcher is a core.Searcher whose searches block until they can take
+// a token from release (or their context ends). Tests use it to hold a
 // compilation at a deterministic point and to make cancellation observable
 // without timing assumptions.
 type gateSearcher struct {
 	release chan struct{}
-	inner   core.Serial
 }
 
 func newGateSearcher() *gateSearcher {
@@ -34,45 +33,27 @@ func (g *gateSearcher) allow(n int) {
 	}
 }
 
-func (g *gateSearcher) wait(ctx context.Context) error {
+func (g *gateSearcher) Search(ctx context.Context, l core.Layer, a core.Array, m core.Method) (core.Result, error) {
 	select {
 	case <-g.release:
-		return nil
+		return core.Serial{}.Search(ctx, l, a, m)
 	case <-ctx.Done():
-		return ctx.Err()
+		return core.Result{}, ctx.Err()
 	}
 }
 
-func (g *gateSearcher) SearchVWSDK(ctx context.Context, l core.Layer, a core.Array) (core.Result, error) {
-	if err := g.wait(ctx); err != nil {
-		return core.Result{}, err
-	}
-	return g.inner.SearchVWSDK(ctx, l, a)
+// slowSearcher is a core.Searcher running the deliberately slow
+// core.Exhaustive oracle that counts the searches it started and the ones
+// still running.
+type slowSearcher struct {
+	started, running atomic.Int64
 }
 
-func (g *gateSearcher) SearchSDK(ctx context.Context, l core.Layer, a core.Array) (core.Result, error) {
-	if err := g.wait(ctx); err != nil {
-		return core.Result{}, err
-	}
-	return g.inner.SearchSDK(ctx, l, a)
-}
-
-func (g *gateSearcher) SearchSMD(ctx context.Context, l core.Layer, a core.Array) (core.Result, error) {
-	if err := g.wait(ctx); err != nil {
-		return core.Result{}, err
-	}
-	return g.inner.SearchSMD(ctx, l, a)
-}
-
-func (g *gateSearcher) SearchVariant(ctx context.Context, l core.Layer, a core.Array, v core.Variant) (core.Result, error) {
-	if err := g.wait(ctx); err != nil {
-		return core.Result{}, err
-	}
-	return g.inner.SearchVariant(ctx, l, a, v)
-}
-
-func (g *gateSearcher) SearchNetwork(ctx context.Context, layers []core.Layer, a core.Array) (core.NetworkResult, error) {
-	return core.SearchNetworkWith(ctx, layers, a, g.SearchVWSDK)
+func (s *slowSearcher) Search(ctx context.Context, l core.Layer, a core.Array, m core.Method) (core.Result, error) {
+	s.started.Add(1)
+	s.running.Add(1)
+	defer s.running.Add(-1)
+	return core.Exhaustive{}.Search(ctx, l, a, m)
 }
 
 // oneLayerNet returns a one-layer inline network spec with a distinguishing
@@ -87,12 +68,12 @@ func oneLayerNet(iw int) string {
 // completion. Now, with one compilation slot total: request A (a large
 // exhaustive search) starts and occupies the slot, request B queues behind
 // it, A's client disconnects — and B must complete, which can only happen
-// if A's cancellation actually freed the slot. Afterwards the engine's
-// candidate counter must be quiescent: cancelled work stops, it does not
-// keep costing candidates in the background.
+// if A's cancellation actually freed the slot. Afterwards the searcher must
+// be quiescent: cancelled work stops, it does not keep searching in the
+// background.
 func TestCancelledCompileFreesSlot(t *testing.T) {
-	eng := engine.New(engine.WithExhaustiveSearch())
-	_, ts := newTestServer(t, Config{Engine: eng, MaxConcurrent: 1})
+	slow := &slowSearcher{}
+	_, ts := newTestServer(t, Config{Searcher: slow, MaxConcurrent: 1})
 
 	// A: a 2048×2048-IFM layer whose exhaustive sweep enumerates ~4.2M
 	// candidates (tens of milliseconds) — plenty of time to observe it
@@ -113,10 +94,10 @@ func TestCancelledCompileFreesSlot(t *testing.T) {
 		aDone <- err
 	}()
 
-	// Wait until A's search is actually running (the engine recorded the
-	// miss), so the cancel lands mid-search, not before admission.
+	// Wait until A's search is actually running, so the cancel lands
+	// mid-search, not before admission.
 	deadline := time.Now().Add(10 * time.Second)
-	for eng.Stats().CacheMisses == 0 {
+	for slow.started.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("request A never started its search")
 		}
@@ -147,13 +128,15 @@ func TestCancelledCompileFreesSlot(t *testing.T) {
 		t.Fatal("B never completed: A's cancelled compile did not free its slot")
 	}
 
-	// No further work: once B is done the engine's counters must be still —
-	// A's search is not grinding on in the background.
-	st1 := eng.Stats()
+	// No further work: once B is done no search is running — A's search is
+	// not grinding on in the background — and none starts later.
+	started := slow.started.Load()
+	if n := slow.running.Load(); n != 0 {
+		t.Errorf("%d searches still running after cancel", n)
+	}
 	time.Sleep(30 * time.Millisecond)
-	st2 := eng.Stats()
-	if st1.CandidatesCosted != st2.CandidatesCosted || st1.Searches != st2.Searches {
-		t.Errorf("engine still working after cancel: %+v -> %+v", st1, st2)
+	if n := slow.started.Load(); n != started {
+		t.Errorf("searches started after B completed: %d -> %d", started, n)
 	}
 }
 

@@ -79,8 +79,8 @@ type Config struct {
 
 	// Searcher, when non-nil, overrides Engine as the compiler's search
 	// backend (the engine then only serves /stats). Tests use it to inject
-	// gated searchers with deterministic blocking; production deployments
-	// leave it nil.
+	// gated searchers with deterministic blocking and the deliberately slow
+	// core.Exhaustive oracle; production deployments leave it nil.
 	Searcher core.Searcher
 
 	// PlanCacheSize is the whole-plan LRU capacity in entries; 0 selects the
@@ -708,7 +708,7 @@ type Stats struct {
 	Server    ServerStats    `json:"server"`
 	PlanCache PlanCacheStats `json:"plan_cache"`
 	Jobs      JobStats       `json:"jobs"`
-	Engine    EngineStats    `json:"engine"`
+	Engine    engine.Stats   `json:"engine"`
 	Optimize  OptimizeStats  `json:"optimize"`
 
 	// Store reports the persistent plan store's counters; nil when no store
@@ -772,29 +772,8 @@ type ServerStats struct {
 	LatencyMs Histogram `json:"latency_ms"`
 }
 
-// EngineStats mirrors engine.Stats with stable JSON names.
-type EngineStats struct {
-	Searches      uint64 `json:"searches"`
-	CacheHits     uint64 `json:"cache_hits"`
-	CacheMisses   uint64 `json:"cache_misses"`
-	FlightDedupes uint64 `json:"flight_dedupes"`
-	Evictions     uint64 `json:"evictions"`
-	CachedResults int    `json:"cached_results"`
-
-	// CandidatesCosted counts candidate windows handed to the cost model by
-	// computed searches; CandidatesPruned counts the windows the exhaustive
-	// sweeps would have costed but the default cost-class walks skipped.
-	CandidatesCosted uint64 `json:"candidates_costed"`
-	CandidatesPruned uint64 `json:"candidates_pruned"`
-
-	// InFlightSearches is the current number of searches holding a
-	// worker-pool slot.
-	InFlightSearches int64 `json:"in_flight_searches"`
-}
-
 // Stats returns a snapshot of every counter the service exposes.
 func (s *Server) Stats() Stats {
-	es := s.eng.Stats()
 	var st *compile.StoreStats
 	if s.store != nil {
 		ss := s.store.StoreStats()
@@ -835,17 +814,7 @@ func (s *Server) Stats() Stats {
 			Evicted:         s.optEvicted.Load(),
 			Rejected:        s.optRejected.Load(),
 		},
-		Engine: EngineStats{
-			Searches:         es.Searches,
-			CacheHits:        es.CacheHits,
-			CacheMisses:      es.CacheMisses,
-			FlightDedupes:    es.FlightDedupes,
-			Evictions:        es.Evictions,
-			CachedResults:    es.CachedResults,
-			CandidatesCosted: es.CandidatesCosted,
-			CandidatesPruned: es.CandidatesPruned,
-			InFlightSearches: es.InFlightSearches,
-		},
+		Engine: s.eng.Stats(),
 	}
 }
 

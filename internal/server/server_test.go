@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -286,6 +288,11 @@ func TestCompileCoalescing(t *testing.T) {
 
 // TestCompileErrorPaths pins the structured error JSON and its status for
 // every rejection class.
+// hugeLayerBody posts a layer (IFM 100000000², 3×3, IC=OC=100000) whose
+// VW-SDK cycle count used to wrap int64 to a negative value that won the
+// argmin.
+const hugeLayerBody = `{"network": {"name": "t", "layers": [{"name": "c", "iw": 100000000, "ih": 100000000, "kw": 3, "kh": 3, "ic": 100000, "oc": 100000}]}, "array": "256x256"}`
+
 func TestCompileErrorPaths(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBodyBytes: 512})
 	cases := []struct {
@@ -312,6 +319,7 @@ func TestCompileErrorPaths(t *testing.T) {
 		{"ic not divisible by groups", `{"network": {"name": "t", "layers": [{"name": "c", "iw": 8, "ih": 8, "kw": 3, "kh": 3, "ic": 5, "oc": 6, "groups": 3}]}, "array": "64x64"}`, http.StatusUnprocessableEntity},
 		{"oc not divisible by groups", `{"network": {"name": "t", "layers": [{"name": "c", "iw": 8, "ih": 8, "kw": 3, "kh": 3, "ic": 6, "oc": 4, "groups": 3}]}, "array": "64x64"}`, http.StatusUnprocessableEntity},
 		{"oversized body", `{"network": "` + strings.Repeat("x", 600) + `"}`, http.StatusRequestEntityTooLarge},
+		{"int64-wrapping layer", hugeLayerBody, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		resp, body := post(t, ts.URL+"/v1/compile", tc.body)
@@ -341,6 +349,13 @@ func TestCompileErrorPaths(t *testing.T) {
 	if resp1.StatusCode != http.StatusUnprocessableEntity ||
 		!strings.Contains(string(body1), "input channels 5 not divisible by groups 3") {
 		t.Errorf("grouped divisibility error not surfaced: %d %s", resp1.StatusCode, body1)
+	}
+
+	// A layer whose cycle counts would wrap int64 is refused at admission
+	// with the bound it breaks, before any search runs.
+	resp2, body2 := post(t, ts.URL+"/v1/compile", hugeLayerBody)
+	if resp2.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body2), "overflows int64") {
+		t.Errorf("int64-wrapping layer not refused at admission: %d %s", resp2.StatusCode, body2)
 	}
 
 	// Wrong methods are rejected by the mux method patterns.
@@ -526,6 +541,16 @@ func TestStatsEndpoint(t *testing.T) {
 	var st Stats
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
+	}
+	// The engine object is engine.Stats verbatim; pin its exact key set.
+	var raw struct{ Engine map[string]any }
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	keys := slices.Sorted(maps.Keys(raw.Engine))
+	if want := []string{"cache_hits", "cache_misses", "cached_results", "candidates_costed", "candidates_pruned",
+		"evictions", "flight_dedupes", "in_flight_searches", "searches"}; !slices.Equal(keys, want) {
+		t.Errorf("/stats engine keys = %v, want %v", keys, want)
 	}
 	if st.Server.Requests < 3 {
 		t.Errorf("requests = %d, want >= 3", st.Server.Requests)

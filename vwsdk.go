@@ -324,10 +324,15 @@ func SearchNetworkContext(ctx context.Context, layers []Layer, a Array) (Network
 	return core.SearchNetworkContext(ctx, layers, a)
 }
 
-// Searcher abstracts the mapping searches; both the serial reference
-// implementation (SerialSearcher) and the concurrent Engine satisfy it.
-// Every method is context-first (see core.Searcher).
+// Searcher runs one mapping search, Search(ctx, layer, array, method); the
+// serial default searches (SerialSearcher), the brute-force oracle
+// (ExhaustiveSearcher) and the concurrent Engine satisfy it. See
+// core.Searcher.
 type Searcher = core.Searcher
+
+// Method names one mapping search: a Scheme and, for SchemeVWSDK, an
+// ablation Variant (ignored for every other scheme).
+type Method = core.Method
 
 // SerialSearcher returns the Searcher backed by the single-threaded
 // reference algorithms.
@@ -367,12 +372,6 @@ func WithWorkers(n int) EngineOption { return engine.WithWorkers(n) }
 // WithCacheSize sets the engine's LRU capacity in results; 0 disables
 // caching.
 func WithCacheSize(n int) EngineOption { return engine.WithCacheSize(n) }
-
-// WithExhaustiveSearch routes an engine's VW-SDK and variant searches
-// through the brute-force sweeps instead of the default closed-form VW-SDK
-// search and pruned variant enumerators, for differential testing and
-// benchmarking.
-func WithExhaustiveSearch() EngineOption { return engine.WithExhaustiveSearch() }
 
 // SearchNetworkParallel optimizes every layer through a fresh engine —
 // layer searches fan across the worker pool and repeated layer shapes

@@ -315,23 +315,12 @@ func TestFacadeExhaustiveSearch(t *testing.T) {
 	if vp.Best != ve.Best {
 		t.Error("variant pruned/exhaustive disagree")
 	}
-	es, err := ExhaustiveSearcher().SearchVWSDK(context.Background(), l, PaperArray)
+	es, err := ExhaustiveSearcher().Search(context.Background(), l, PaperArray, Method{Scheme: SchemeVWSDK})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if es.Best != exh.Best {
 		t.Error("ExhaustiveSearcher disagrees with SearchVWSDKExhaustive")
-	}
-	eng := NewEngine(WithExhaustiveSearch())
-	er, err := eng.SearchVWSDK(context.Background(), l, PaperArray)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if er.Evaluated != exh.Evaluated {
-		t.Errorf("exhaustive engine costed %d, want %d", er.Evaluated, exh.Evaluated)
-	}
-	if st := eng.Stats(); st.CandidatesPruned != 0 || st.CandidatesCosted == 0 {
-		t.Errorf("exhaustive engine stats = %+v", st)
 	}
 }
 
@@ -368,7 +357,7 @@ func TestFacadeEngine(t *testing.T) {
 	}
 
 	eng := NewEngine(WithWorkers(2))
-	res, err := eng.SearchVWSDK(context.Background(), layers[3], a)
+	res, err := eng.Search(context.Background(), layers[3], a, Method{Scheme: SchemeVWSDK})
 	if err != nil {
 		t.Fatal(err)
 	}
