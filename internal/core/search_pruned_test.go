@@ -133,6 +133,46 @@ func TestExhaustiveCandidatesSquareTiled(t *testing.T) {
 	}
 }
 
+// TestExhaustiveSearcher pins that the Exhaustive reference Searcher agrees
+// with Serial (the default searches) on every ResNet-18 layer for every
+// Method: the same Best and Im2col, and the same network totals. The
+// im2col, SMD and SDK searches are shared, so there the whole Result matches.
+func TestExhaustiveSearcher(t *testing.T) {
+	ctx := context.Background()
+	methods := []Method{
+		{Scheme: SchemeIm2col},
+		{Scheme: SchemeSMD},
+		{Scheme: SchemeSDK},
+		{Scheme: SchemeVWSDK, Variant: VariantFull},
+		{Scheme: SchemeVWSDK, Variant: VariantSquareTiled},
+		{Scheme: SchemeVWSDK, Variant: VariantRectFullChannel},
+	}
+	for _, m := range methods {
+		var serialTotal, exhTotal int64
+		for _, l := range resnet18Shapes() {
+			want, err := Serial{}.Search(ctx, l, array512, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Exhaustive{}.Search(ctx, l, array512, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serialTotal += want.Best.Cycles
+			exhTotal += got.Best.Cycles
+			if want.Best != got.Best || want.Im2col != got.Im2col {
+				t.Errorf("%v/%s: exhaustive Best %v, serial %v", m, l.Name, got.Best, want.Best)
+			}
+			if m.Scheme != SchemeVWSDK && !reflect.DeepEqual(want, got) {
+				t.Errorf("%v/%s: baseline search diverges between Serial and Exhaustive", m, l.Name)
+			}
+		}
+		if serialTotal != exhTotal {
+			t.Errorf("%v: total cycles serial %d, exhaustive %d", m, serialTotal, exhTotal)
+		}
+	}
+}
+
 // TestSearchSDKBoundsGuard proves dropping the old max(pw.W,pw.H) > maxSide
 // guard changes nothing wherever it was redundant: for square IFMs (any
 // kernel) and for square kernels with equal strides (where the candidate
