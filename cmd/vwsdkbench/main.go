@@ -287,7 +287,7 @@ func runFleet(ctx context.Context, opts bench.Options, outPath, against string, 
 
 // checkFleet fails when the fresh fleet run regresses versus the committed
 // snapshot. The workload is fully deterministic (seeded zipf, round-robin
-// placement, flushed write-behinds), so the cache-behavior figures — hit
+// placement, synchronous store writes), so the cache-behavior figures — hit
 // rates and fleet-wide compile count — must reproduce almost exactly on any
 // machine; latency is machine-dependent, so proxied latency only gets a
 // generous order-of-magnitude bound that still catches protocol regressions

@@ -5,7 +5,7 @@
 // requests before exiting.
 //
 // With -store the plan cache persists: every locally computed plan is
-// written behind to a content-addressed on-disk store and a restarted
+// appended to a content-addressed on-disk store and a restarted
 // daemon answers previously compiled requests from disk without
 // re-searching. With -peers a static fleet of vwsdkd instances shares the
 // key space by consistent hashing — a miss on a key another node owns is
@@ -122,23 +122,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		MaxJobs:        *maxJobs,
 		Logger:         logger,
 	}
-	var planStore *store.Store
 	if *storeDir != "" {
-		var err error
-		planStore, err = store.Open(*storeDir)
+		planStore, err := store.Open(*storeDir)
 		if err != nil {
 			return err
 		}
 		cfg.Store = planStore
 		fmt.Fprintf(out, "vwsdkd: plan store at %s (%d entries)\n", planStore.Dir(), planStore.Len())
 	}
-	// Flush pending write-behinds on every exit path, so a drained daemon —
-	// or a finished -warm-only run — leaves a complete store on disk.
-	defer func() {
-		if planStore != nil {
-			planStore.Flush()
-		}
-	}()
 
 	// The fleet tier needs the bound port to find this node in -peers, so
 	// the listener comes up before the ring when serving; -warm-only skips

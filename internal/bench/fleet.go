@@ -183,7 +183,6 @@ func RunFleet(ctx context.Context, opts Options) (*FleetReport, error) {
 	}
 	mt := peer.MemTransport{}
 	servers := make([]*server.Server, fleetNodes)
-	stores := make([]*store.Store, fleetNodes)
 	for i := range servers {
 		ring, err := peer.NewRing(addrs[i], addrs)
 		if err != nil {
@@ -193,7 +192,6 @@ func RunFleet(ctx context.Context, opts Options) (*FleetReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		stores[i] = st
 		servers[i] = server.New(server.Config{
 			PlanCacheSize: fleetPlanCache,
 			Store:         st,
@@ -201,12 +199,6 @@ func RunFleet(ctx context.Context, opts Options) (*FleetReport, error) {
 		})
 		mt[addrs[i]] = servers[i]
 	}
-	defer func() {
-		for _, st := range stores {
-			st.Flush()
-		}
-	}()
-
 	_, sp = obs.Start(ctx, "fleet-run")
 	defer sp.End()
 	var proxied, compute, hits []time.Duration
@@ -226,13 +218,6 @@ func RunFleet(ctx context.Context, opts Options) (*FleetReport, error) {
 			compute = append(compute, d)
 		default: // "hit" or "store": served from a local tier
 			hits = append(hits, d)
-		}
-		// Settle write-behinds between requests (outside the timed window):
-		// a real fleet has think-time for the async store writes to land; the
-		// sequential driver does not, and without this the store tier's
-		// contribution would depend on goroutine scheduling luck.
-		for _, st := range stores {
-			st.Flush()
 		}
 	}
 	// Plan-cache misses count every singleflight leader, including ones

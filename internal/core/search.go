@@ -138,7 +138,7 @@ func SearchSDK(l Layer, a Array) (Result, error) {
 }
 
 // SearchSDKContext is SearchSDK under a caller context, checking for
-// cancellation once per candidate window.
+// cancellation once per candidate window it costs.
 func SearchSDKContext(ctx context.Context, l Layer, a Array) (Result, error) {
 	l = l.Normalized()
 	base, err := Im2col(l, a)
@@ -146,15 +146,12 @@ func SearchSDKContext(ctx context.Context, l Layer, a Array) (Result, error) {
 		return Result{}, err
 	}
 	res := Result{Best: base, Im2col: base}
-	// Square windows require a square kernel extent to stay square in
-	// window units; for rectangular kernels the baseline grows both sides
-	// equally from the kernel, matching "shift and duplicate" in both axes.
-	// (An earlier version also broke when max(pw.W, pw.H) exceeded
-	// min(PaddedW, PaddedH); for square kernels with equal strides — where
-	// pw stays square — and for square IFMs that check is implied by the
-	// two bounds below, see TestSearchSDKBoundsGuard. On rectangular IFMs
-	// with rectangular kernels it wrongly truncated the sweep before the
-	// window reached the padded IFM, discarding valid candidates.)
+	// The baseline grows both window sides by one stride per step d, matching
+	// "shift and duplicate" in both axes. AR = ⌈PW.Area·ICg/Rows⌉ and
+	// AC = ⌈NwW·NwH·OCg/Cols⌉ never decrease in d, so the first window the
+	// feasibility rule rejects ends the sweep: the work is bounded by the
+	// array, not by the IFM. Evaluated still counts every in-bounds window,
+	// exactly as the full sweep costed them, in O(1).
 	for d := 1; ; d++ {
 		if err := checkpoint(ctx); err != nil {
 			return Result{}, err
@@ -167,14 +164,14 @@ func SearchSDKContext(ctx context.Context, l Layer, a Array) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		res.Evaluated++
 		if m.AR > base.AR || m.AC > base.AC {
-			continue // infeasible under the baseline's rule
+			break // infeasible under the baseline's rule, as is every larger d
 		}
 		if m.Cycles < res.Best.Cycles {
 			res.Best = m
 		}
 	}
+	res.Evaluated = max(0, min((l.PaddedW()-l.KW)/l.StrideW, (l.PaddedH()-l.KH)/l.StrideH))
 	res.Swept = res.Evaluated
 	if res.Best.Scheme == SchemeIm2col {
 		// Report the degenerate choice in SDK notation (kernel window).

@@ -45,7 +45,6 @@ func TestRestartComesUpWarmFromStore(t *testing.T) {
 	if xc := resp.Header.Get("X-Cache"); xc != "miss" {
 		t.Fatalf("cold compile X-Cache = %q, want miss", xc)
 	}
-	st.Flush() // write-behind must land before the "restart"
 
 	// A fresh server (new engine, new LRU) over the same store directory:
 	// the same request must be a store hit — no search anywhere — with plan
@@ -84,26 +83,19 @@ func TestCorruptStoreEntryRecomputedNeverServed(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cold compile: %d", resp.StatusCode)
 	}
-	st.Flush()
 
-	// Truncate every stored entry on disk, then "restart".
-	damaged := 0
-	filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || filepath.Ext(path) != ".json" {
-			return nil
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data[:len(data)/3], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		damaged++
-		return nil
-	})
-	if damaged != 1 {
-		t.Fatalf("damaged %d entries, want 1", damaged)
+	// Flip a byte inside the one stored record's plan bytes, then "restart".
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("store holds segments %q (%v), want 1", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-len(first)/2] ^= 0x20
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	st2 := openStore(t, dir)
@@ -125,9 +117,8 @@ func TestCorruptStoreEntryRecomputedNeverServed(t *testing.T) {
 	if stats.Corrupt != 1 {
 		t.Errorf("corrupt counter = %d, want 1", stats.Corrupt)
 	}
-	// The recompute's write-behind repairs the entry: the next restart is
+	// The recompute appends a good copy of the record: the next restart is
 	// warm again.
-	st2.Flush()
 	st3 := openStore(t, dir)
 	if _, _, ok := st3.GetPlan(mustKeyFor(t, tinyBody)); !ok {
 		t.Error("store not repaired by recompute")
@@ -452,7 +443,6 @@ func TestWarmManifest(t *testing.T) {
 	if stats.Total != 2 || stats.Compiled != 2 || stats.Hits != 0 || stats.Failed != 0 {
 		t.Errorf("first warm = %+v, want 2 total, 2 compiled", stats)
 	}
-	st.Flush()
 
 	// Warming again over the same store is a no-op: resumable via the store.
 	st2 := openStore(t, dir)

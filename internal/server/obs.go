@@ -132,7 +132,7 @@ func (s *Server) initMetrics() {
 			func() uint64 { return s.store.StoreStats().Hits })
 		r.CounterFunc("vwsdk_store_misses_total", "Plan-store lookups of absent keys.",
 			func() uint64 { return s.store.StoreStats().Misses })
-		r.CounterFunc("vwsdk_store_writes_total", "Plans written behind to the store.",
+		r.CounterFunc("vwsdk_store_writes_total", "Plans appended to the store.",
 			func() uint64 { return s.store.StoreStats().Writes })
 		r.CounterFunc("vwsdk_store_corrupt_total", "Store entries that failed validation and were quarantined.",
 			func() uint64 { return s.store.StoreStats().Corrupt })

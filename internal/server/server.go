@@ -119,7 +119,7 @@ type Config struct {
 	Logger *log.Logger
 
 	// Store is the persistent plan store (internal/store) consulted on
-	// plan-cache misses before any search runs and written behind every
+	// plan-cache misses before any search runs and written through with every
 	// locally computed plan, so restarts come up warm; nil disables
 	// persistence. The warm-hit fast path is unaffected: the store is only
 	// reached inside the miss singleflight.
@@ -415,7 +415,7 @@ func (s *Server) release() { <-s.sem }
 //     through to recompute),
 //  2. the owning peer, when a fleet is configured and another node owns the
 //     key (failure degrades to local compute),
-//  3. a local compile, written behind to the store.
+//  3. a local compile, written through to the store.
 //
 // Every compilation that actually runs records its own provenance trace —
 // queue-wait, the compile pipeline's span tree, and plan serialization —
@@ -465,10 +465,10 @@ func (s *Server) compilePlan(ctx context.Context, key string, req compile.Reques
 		}
 		s.observeCompile(prov)
 		if s.store != nil {
-			// Write-behind: PutPlan is asynchronous, so persistence costs the
-			// serve path nothing. Locally computed plans are persisted whether
-			// or not this node owns the key — a node that computed under peer
-			// degradation stays warm across its own restarts too.
+			// PutPlan appends one record with one write(2), small next to
+			// the compile just paid for. Locally computed plans are persisted
+			// whether or not this node owns the key — a node that computed
+			// under peer degradation stays warm across its own restarts too.
 			s.store.PutPlan(key, buf.Bytes())
 		}
 		return &planEntry{totals: p.Totals, data: buf.Bytes(), trace: prov.Tree(), phases: prov.Phases()}, nil

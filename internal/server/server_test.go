@@ -658,3 +658,24 @@ func (w *syncWriter) String() string {
 	defer w.mu.Unlock()
 	return w.b.String()
 }
+
+// A ~200-byte compile body asking the SDK baseline for one 3×3 layer on a
+// 10⁷×10⁷ IFM answers 200 with the full in-bounds window count; the search
+// itself costs only the windows the array admits (pinned in core by
+// TestSearchSDKWorkBoundedByArray).
+func TestSDKHugeIFMCompiles(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, body := post(t, ts.URL+"/v1/compile", `{"network": {"name": "huge", "layers": [
+		{"name": "c1", "iw": 10000000, "ih": 10000000, "kw": 3, "kh": 3, "ic": 1, "oc": 1}]},
+		"array": "256x256", "options": {"scheme": "sdk"}}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	plan, err := compile.FromJSON(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := plan.Layers[0].Search; got.Evaluated != 10_000_000-3 || got.Best.PW != (core.Window{W: 16, H: 16}) {
+		t.Errorf("Evaluated = %d, best window %v; want %d and 16x16", got.Evaluated, got.Best.PW, 10_000_000-3)
+	}
+}

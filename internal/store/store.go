@@ -1,218 +1,217 @@
-// Package store is the persistent tier of vwsdkd's plan cache: a
-// content-addressed on-disk store of serialized compile.NetworkPlans keyed
-// by compile.Key. The plan LRU (internal/server) is write-behind into a
-// Store, so a restarted daemon — or a fresh replica pointed at shared
-// storage — comes up warm: the same request is answered from disk with the
-// byte-identical plan, without re-running the search.
-//
-// Consistency is by construction: compile.Key is a pure content address (a
-// compilation is a deterministic function of its key), so a stored entry can
-// never be stale — only corrupt. Every load is therefore re-validated by
-// compile.VerifyPlan: the golden round-trip check (compile.FromJSON
-// re-checks the plan's totals against its layers) plus a re-key check (the
-// decoded plan's own request must hash back to the key it was stored
-// under); an entry failing either check is quarantined on the spot —
-// renamed aside with a .corrupt suffix so it is recomputed, never served,
-// and never retried. VerifyPlan memoizes successes by a SHA-256 digest of
-// (key, bytes), so re-loading an unchanged entry costs one hash rather than
-// a full decode; this is exactly as strong as re-decoding, because any
-// changed byte, or the same bytes under another key, misses the memo and is
-// checked in full.
-//
-// Layout: one file per plan at <dir>/<aa>/<sha256(key) hex>.json, where
-// <aa> is the first hash byte (256-way fan-out keeps directories small at
-// fleet scale). Writes are atomic temp+rename in the entry's own directory,
-// so readers — including concurrent vwsdkd replicas sharing the directory —
-// never observe a torn entry; a crash mid-write leaves only a .tmp file that
-// the next Open sweeps away.
+// Package store is vwsdkd's persistent plan cache: an append-only,
+// content-addressed log of plan bytes keyed by compile.Key, with an
+// in-memory index. DESIGN.md §10.1–10.2 give the format and the protocol.
 package store
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
 	"repro/internal/compile"
 )
 
-// Store is an on-disk plan store rooted at a directory. Build one with
-// Open; a *Store is safe for concurrent use, including by multiple
-// processes sharing the directory.
-type Store struct {
-	dir string
+// headerLen is a record's frame header: key length, plan length, CRC-32C.
+const headerLen = 12
 
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	writes  atomic.Uint64
-	corrupt atomic.Uint64
-
-	// wg tracks in-flight write-behind goroutines; Flush waits on it.
-	wg sync.WaitGroup
-	// writeSem bounds concurrent write-behind goroutines so a warm-up burst
-	// cannot exhaust file descriptors.
-	writeSem chan struct{}
+// entry locates a record: segs index, offset, length including the header.
+type entry struct {
+	off    int64
+	seg, n uint32
 }
 
-// Open opens (creating if needed) the plan store rooted at dir and sweeps
-// away temp files abandoned by a crashed writer.
+// Store is a plan store rooted at a directory, safe for concurrent use. Any
+// number of handles may share a directory, each appending to its own segment.
+type Store struct {
+	dir   string
+	mu    sync.Mutex
+	index map[uint64]entry
+	segs  []*os.File
+	w     int    // index in segs of the segment this handle appends to, or -1
+	end   int64  // append offset in segs[w]
+	next  int    // sequence number of the next segment to create
+	buf   []byte // PutPlan's reused record buffer
+
+	hits, misses, writes, corrupt atomic.Uint64
+}
+
+// Open opens (creating if needed) the store at dir: it replays every segment
+// in creation order (a later record wins) and claims the newest one no live
+// handle holds, truncating its torn tail; if all are held, PutPlan adds one.
 func Open(dir string) (*Store, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("store: empty directory")
+	os.MkdirAll(dir, 0o755)       // a failure surfaces as ReadDir's error
+	names, err := os.ReadDir(dir) // sorted by name, that is by creation
+	s := &Store{dir: dir, index: map[uint64]entry{}, next: 1}
+	for _, d := range names {
+		var n int
+		if _, err := fmt.Sscanf(d.Name(), "%d.seg", &n); err != nil || segName(n) != d.Name() {
+			continue
+		}
+		f, ferr := os.OpenFile(filepath.Join(dir, d.Name()), os.O_RDWR|os.O_APPEND, 0)
+		if err = ferr; err != nil {
+			break
+		}
+		s.segs, s.next = append(s.segs, f), n+1
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	// Claim the newest segment no live handle holds; -1 if there is none.
+	for s.w = len(s.segs) - 1; s.w >= 0 && lock(s.segs[s.w]) != nil; s.w-- {
+	}
+	for i := 0; err == nil && i < len(s.segs); i++ {
+		var end int64
+		if end, err = s.replay(uint32(i), s.segs[i]); err == nil && i == s.w {
+			s.end, err = end, s.segs[i].Truncate(end) // locked: nobody is mid-append
+		}
+	}
+	if err != nil {
+		for _, f := range s.segs {
+			f.Close()
+		}
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, writeSem: make(chan struct{}, 8)}
-	s.sweepTemp()
 	return s, nil
+}
+
+// segName names segment n; lock claims one for this handle alone; crc is
+// CRC-32C, its table built on first use, not at init (daemon start-up).
+func segName(n int) string  { return fmt.Sprintf("%010d.seg", n) }
+func lock(f *os.File) error { return syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB) }
+func crc(b []byte) uint32   { return crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)) }
+
+// replay indexes f's records and returns the offset past the last whole
+// frame. A frame whose lengths pass the end of the file is a torn tail, not
+// an allocation; a CRC mismatch skips that one record as corrupt.
+func (s *Store) replay(seg uint32, f *os.File) (int64, error) {
+	size, err := f.Seek(0, io.SeekEnd)
+	buf, off := make([]byte, headerLen), int64(0)
+	for ; err == nil && size-off >= headerLen; off += int64(len(buf)) {
+		if _, err = f.ReadAt(buf[:headerLen], off); err != nil {
+			break
+		}
+		kl := headerLen + int64(binary.LittleEndian.Uint32(buf))
+		n := kl + int64(binary.LittleEndian.Uint32(buf[4:]))
+		if n > size-off || n > math.MaxUint32 {
+			break
+		}
+		if int64(cap(buf)) < n {
+			buf = append(make([]byte, 0, n), buf[:headerLen]...)
+		}
+		buf = buf[:n]
+		if _, err = f.ReadAt(buf[headerLen:], off+headerLen); err == nil && intact(buf) {
+			s.index[hash(string(buf[headerLen:kl]))] = entry{off, seg, uint32(n)}
+		} else if err == nil {
+			s.corrupt.Add(1)
+		}
+	}
+	return off, err
+}
+
+// intact reports whether rec is exactly one frame whose CRC matches.
+func intact(rec []byte) bool {
+	kl, pl := binary.LittleEndian.Uint32(rec), binary.LittleEndian.Uint32(rec[4:])
+	return headerLen+int64(kl)+int64(pl) == int64(len(rec)) &&
+		crc(rec[headerLen:]) == binary.LittleEndian.Uint32(rec[8:])
+}
+
+// hash is a key's index slot: the leading 8 bytes of its SHA-256.
+func hash(key string) uint64 {
+	sum := sha256.Sum256([]byte(key))
+	return binary.LittleEndian.Uint64(sum[:8])
 }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// path maps a key to its entry file. The first hash byte is the fan-out
-// directory, mirrored as the leading two hex characters of the file name.
-func (s *Store) path(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	hexed := hex.EncodeToString(sum[:])
-	return filepath.Join(s.dir, hexed[:2], hexed+".json")
-}
-
-// GetPlan implements compile.PlanStore: it loads, verifies and returns the
-// entry for key. A missing entry is a miss; an entry that fails
-// compile.VerifyPlan — unreadable, truncated, totals-inconsistent, or stored
-// under a key its own request does not hash to (an entry copied or renamed
-// to the wrong path, the only "staleness" a content-addressed store can
-// exhibit) — is quarantined and reported as a miss, so the caller
-// recomputes and overwrites it.
+// GetPlan implements compile.PlanStore: one ReadAt, then the CRC, the stored
+// key (another key's record under the same hash is a miss) and VerifyPlan;
+// a failed check quarantines the record.
 func (s *Store) GetPlan(key string) ([]byte, compile.Totals, bool) {
-	path := s.path(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
+	h := hash(key)
+	s.mu.Lock()
+	e, ok := s.index[h]
+	segs := s.segs
+	s.mu.Unlock()
+	if !ok {
+		s.misses.Add(1)
+		return nil, compile.Totals{}, false
+	}
+	rec := make([]byte, e.n)
+	if _, err := segs[e.seg].ReadAt(rec, e.off); err == nil && intact(rec) {
+		kl := headerLen + int(binary.LittleEndian.Uint32(rec))
+		if string(rec[headerLen:kl]) != key {
 			s.misses.Add(1)
-		} else {
-			// Unreadable for another reason (permissions, I/O error):
-			// quarantine so the serve path never blocks on a sick file again.
-			s.quarantine(path)
+			return nil, compile.Totals{}, false
 		}
-		return nil, compile.Totals{}, false
+		if totals, err := compile.VerifyPlan(key, rec[kl:]); err == nil {
+			s.hits.Add(1)
+			return rec[kl:], totals, true
+		}
 	}
-	totals, err := compile.VerifyPlan(key, data)
-	if err != nil {
-		s.quarantine(path)
-		return nil, compile.Totals{}, false
+	s.corrupt.Add(1)
+	s.mu.Lock()
+	if s.index[h] == e { // not yet replaced by a newer record
+		delete(s.index, h)
 	}
-	s.hits.Add(1)
-	return data, totals, true
+	s.mu.Unlock()
+	return nil, compile.Totals{}, false
 }
 
-// PutPlan implements compile.PlanStore: it persists data for key with an
-// atomic temp+rename, asynchronously (write-behind — the serve path never
-// waits on disk). data must be immutable; an entry already on disk is left
-// alone (same key means same content, so rewriting buys nothing). Call
-// Flush to wait for pending writes (tests, warm mode, shutdown).
+// PutPlan implements compile.PlanStore: unless key is indexed (same key, same
+// content) it appends one record with one write; a failed write is truncated.
 func (s *Store) PutPlan(key string, data []byte) {
-	path := s.path(key)
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.writeSem <- struct{}{}
-		defer func() { <-s.writeSem }()
-		if _, err := os.Stat(path); err == nil {
+	h := hash(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.index[h]; ok || headerLen+int64(len(key))+int64(len(data)) > math.MaxUint32 {
+		return
+	}
+	for s.w < 0 { // every segment was held at Open: start one
+		f, err := os.OpenFile(filepath.Join(s.dir, segName(s.next)), os.O_RDWR|os.O_APPEND|os.O_CREATE|os.O_EXCL, 0o644)
+		s.next++
+		if os.IsExist(err) {
+			continue // another handle took the name
+		} else if err != nil {
+			return
+		} else if err := lock(f); err != nil {
+			f.Close() // a racing Open claimed it: this append is skipped
 			return
 		}
-		if s.writeEntry(path, data) == nil {
-			s.writes.Add(1)
+		s.w, s.end, s.segs = len(s.segs), 0, append(s.segs, f)
+	}
+	rec := binary.LittleEndian.AppendUint32(s.buf[:0], uint32(len(key)))
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(data)))
+	rec = append(append(append(rec, 0, 0, 0, 0), key...), data...)
+	binary.LittleEndian.PutUint32(rec[8:], crc(rec[headerLen:]))
+	s.buf = rec
+	if _, err := s.segs[s.w].Write(rec); err != nil {
+		if s.segs[s.w].Truncate(s.end) != nil {
+			s.w = -1 // never append after a partial frame: start a new segment
 		}
-	}()
+		return
+	}
+	s.index[h] = entry{s.end, uint32(s.w), uint32(len(rec))}
+	s.end += int64(len(rec))
+	s.writes.Add(1)
 }
 
-// writeEntry writes data to path atomically: a .tmp file in the entry's own
-// fan-out directory (same filesystem, so the rename is atomic), then rename
-// into place.
-func (s *Store) writeEntry(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
-
-// quarantine moves a failed entry aside (path → path.corrupt, replacing any
-// previous quarantine of the same entry) and counts it. The entry's address
-// is now vacant, so the next compute overwrites it with good bytes; the
-// quarantined file sticks around for a postmortem.
-func (s *Store) quarantine(path string) {
-	s.corrupt.Add(1)
-	if err := os.Rename(path, path+".corrupt"); err != nil && !os.IsNotExist(err) {
-		// Rename failed (e.g. read-only dir): removal is the fallback that
-		// still guarantees the bad entry is never loaded again.
-		os.Remove(path)
-	}
-}
-
-// Flush blocks until every write issued before the call has completed.
-func (s *Store) Flush() { s.wg.Wait() }
+// Flush is a no-op: PutPlan writes synchronously, so nothing is pending.
+func (s *Store) Flush() {}
 
 // StoreStats implements compile.PlanStore.
 func (s *Store) StoreStats() compile.StoreStats {
-	return compile.StoreStats{
-		Hits:    s.hits.Load(),
-		Misses:  s.misses.Load(),
-		Writes:  s.writes.Load(),
-		Corrupt: s.corrupt.Load(),
-	}
+	return compile.StoreStats{Hits: s.hits.Load(), Misses: s.misses.Load(), Writes: s.writes.Load(), Corrupt: s.corrupt.Load()}
 }
 
-// Len walks the store and counts valid-looking entries (by name, not by
-// validating contents) — a startup/debug figure, not a serve-path call.
+// Len returns the number of indexed records.
 func (s *Store) Len() int {
-	n := 0
-	filepath.WalkDir(s.dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return nil
-		}
-		if strings.HasSuffix(path, ".json") {
-			n++
-		}
-		return nil
-	})
-	return n
-}
-
-// sweepTemp removes temp files a crashed writer left behind; quarantined
-// .corrupt files are kept (they are diagnostic artifacts, not garbage).
-func (s *Store) sweepTemp() {
-	filepath.WalkDir(s.dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return nil
-		}
-		if strings.Contains(filepath.Base(path), ".tmp") {
-			os.Remove(path)
-		}
-		return nil
-	})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.index)
 }
